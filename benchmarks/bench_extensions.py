@@ -6,8 +6,7 @@ from repro.experiments import extensions
 
 
 def test_disable_table(runner, benchmark):
-    result = run_once(benchmark, extensions.disable_table_extension,
-                      runner)
+    result, _ = run_once(benchmark, extensions.run, runner)
     print()
     print(result.render())
     # The table must never *hurt* the hit ratio, and it must actually
@@ -20,7 +19,7 @@ def test_disable_table(runner, benchmark):
 
 
 def test_sync_free_estimate(runner, benchmark):
-    result = run_once(benchmark, extensions.sync_free_estimate, runner)
+    _, result = run_once(benchmark, extensions.run, runner)
     print()
     print(result.render())
     for row in result.rows[1:]:

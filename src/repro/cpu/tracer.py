@@ -1,15 +1,22 @@
 """High-throughput tracing interpreters.
 
-Two loops over the packed program form:
+Loops over the packed program form:
 
-* :func:`trace_control_flow` records only control-transfer instructions
-  (:class:`~repro.trace.record.CFRecord`) -- the input to loop detection
-  and thread speculation.
-* :func:`trace_full` records every instruction with register and memory
-  effects (:class:`~repro.trace.record.FullRecord`) -- the input to the
-  data-speculation study.
+* :meth:`ChunkedCFTracer.batches` records only control-transfer
+  instructions as :class:`~repro.trace.batch.RecordBatch` columns --
+  the input to loop detection and thread speculation.  It is the only
+  control-flow interpretation loop: the trace cache writer streams it
+  to disk, and :func:`trace_control_flow` collects it into an
+  in-memory :class:`~repro.trace.stream.CFTrace` of
+  :class:`~repro.trace.record.CFRecord`.
+* :meth:`ChunkedFullTracer.batches` records every instruction's
+  register and memory effects as :class:`~repro.trace.batch.FullBatch`
+  columns -- the input to the data-speculation study.
+  :func:`trace_full` is its reference: it also records the
+  register-write and memory-write values that ``FullBatch`` drops, as
+  :class:`~repro.trace.record.FullRecord` tuples.
 
-Both deliberately duplicate the dispatch of :class:`repro.cpu.machine.
+All deliberately duplicate the dispatch of :class:`repro.cpu.machine.
 Machine`; the duplication is the price of a usable simulation rate in
 pure Python, and equivalence is pinned by differential tests.
 """
@@ -31,7 +38,7 @@ from repro.cpu.machine import (
     pack_program, wrap64,
 )
 from repro.trace.batch import NO_TARGET, FullBatch, RecordBatch
-from repro.trace.record import CFRecord, FullRecord
+from repro.trace.record import FullRecord
 from repro.trace.stream import CFTrace, FullTrace
 
 _K_BRANCH = int(InstrKind.BRANCH)
@@ -54,129 +61,29 @@ def trace_control_flow(program, max_instructions=5_000_000,
                        allow_truncation=True):
     """Run *program* and return its control-flow trace.
 
-    When the budget is exhausted before ``halt`` the trace is returned
-    truncated (``trace.halted`` is False) unless *allow_truncation* is
-    False, in which case :class:`TraceBudgetExceeded` is raised.
+    A collector over :class:`ChunkedCFTracer`: the batches are decoded
+    into one in-memory :class:`CFTrace`.  When the budget is exhausted
+    before ``halt`` the trace is returned truncated (``trace.halted``
+    is False) unless *allow_truncation* is False, in which case
+    :class:`TraceBudgetExceeded` is raised.
     """
-    packed = pack_program(program)
-    regs = [0] * NUM_REGISTERS
-    regs[REG_SP] = STACK_TOP
-    mem = dict(program.data.initial)
-    mem_get = mem.get
-    records = []
-    append = records.append
-    pc = program.entry
-    seq = 0
-    halted = False
-    alu = _ALU
-    branch = _BRANCH
-
-    while seq < max_instructions:
-        code, rd, rs1, rs2, imm, target = packed[pc]
-        if code == C_ADDI:
-            v = regs[rs1] + imm
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_LD:
-            if rd:
-                regs[rd] = mem_get(regs[rs1] + imm, 0)
-            pc += 1
-        elif code == C_ST:
-            mem[regs[rs1] + imm] = regs[rs2]
-            pc += 1
-        elif code in BRANCH_CODES:
-            taken = branch[code](regs[rs1], regs[rs2])
-            append(CFRecord(seq, pc, _K_BRANCH, taken, target))
-            pc = target if taken else pc + 1
-        elif code == C_ADD:
-            v = regs[rs1] + regs[rs2]
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_LI:
-            if rd:
-                regs[rd] = imm
-            pc += 1
-        elif code == C_MV:
-            if rd:
-                regs[rd] = regs[rs1]
-            pc += 1
-        elif code == C_SUB:
-            v = regs[rs1] - regs[rs2]
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_MUL:
-            v = regs[rs1] * regs[rs2]
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_MULI:
-            v = regs[rs1] * imm
-            if v > _I64_MAX or v < _I64_MIN:
-                v = wrap64(v)
-            if rd:
-                regs[rd] = v
-            pc += 1
-        elif code == C_JMP:
-            append(CFRecord(seq, pc, _K_JUMP, True, target))
-            pc = target
-        elif code == C_CALL:
-            regs[1] = pc + 1
-            append(CFRecord(seq, pc, _K_CALL, True, target))
-            pc = target
-        elif code == C_RET:
-            nxt = regs[1]
-            append(CFRecord(seq, pc, _K_RET, True, nxt))
-            pc = nxt
-        elif code == C_JR:
-            nxt = regs[rs1]
-            append(CFRecord(seq, pc, _K_IJUMP, True, nxt))
-            pc = nxt
-        elif code == C_HALT:
-            append(CFRecord(seq, pc, _K_HALT, False, None))
-            seq += 1
-            halted = True
-            break
-        elif code == C_NOP:
-            pc += 1
-        else:
-            # Remaining ALU forms (immediate and register) via the tables.
-            if code in _IMM_TO_REG:
-                v = alu[_IMM_TO_REG[code]](regs[rs1], imm)
-            else:
-                v = alu[code](regs[rs1], regs[rs2])
-            if rd:
-                regs[rd] = v
-            pc += 1
-        seq += 1
-
-    if not halted and not allow_truncation:
-        raise TraceBudgetExceeded(
-            "program %r did not halt within %d instructions"
-            % (program.name, max_instructions))
-    return CFTrace(records=records, total_instructions=seq, halted=halted,
-                   program_name=program.name)
+    tracer = ChunkedCFTracer(program, max_instructions, allow_truncation)
+    records = [rec for batch in tracer.batches()
+               for rec in batch.iter_records()]
+    return CFTrace(records=records,
+                   total_instructions=tracer.total_instructions,
+                   halted=tracer.halted, program_name=program.name)
 
 
 class ChunkedCFTracer:
     """Control-flow tracing with bounded-memory chunked emission.
 
-    Same dispatch as :func:`trace_control_flow` (the duplication is this
-    module's stated price of speed; equivalence is pinned by tests), but
-    records are handed out in lists of at most ``chunk_size`` via
-    :meth:`chunks` so a consumer — the on-disk trace cache writer, or a
-    :class:`~repro.core.detector.LoopDetector` fed record by record —
-    never holds the whole trace.
+    The one control-flow interpretation loop: :meth:`batches` hands out
+    columns of at most ``chunk_size`` records, so a consumer -- the
+    on-disk trace cache writer, or a
+    :class:`~repro.core.detector.LoopDetector` fed batch by batch --
+    never holds the whole trace.  :func:`trace_control_flow` collects
+    the batches into an in-memory trace.
 
     ``total_instructions`` and ``halted`` are only valid once the
     generator is exhausted; reading them earlier raises
@@ -201,31 +108,23 @@ class ChunkedCFTracer:
     @property
     def total_instructions(self):
         if not self._finished:
-            raise RuntimeError("trace not finished; exhaust chunks() first")
+            raise RuntimeError("trace not finished; exhaust batches() first")
         return self._total
 
     @property
     def halted(self):
         if not self._finished:
-            raise RuntimeError("trace not finished; exhaust chunks() first")
+            raise RuntimeError("trace not finished; exhaust batches() first")
         return self._halted
-
-    def chunks(self):
-        """Generate lists of :class:`CFRecord`, each at most
-        ``chunk_size`` long, in execution order (decoding adapter over
-        :meth:`batches`)."""
-        for batch in self.batches():
-            yield list(batch.iter_records())
 
     def batches(self):
         """Generate :class:`~repro.trace.batch.RecordBatch` columns of
         at most ``chunk_size`` records, in execution order.
 
-        This is the native emission path: the interpretation loop
-        appends directly to the batch columns, so no
-        :class:`CFRecord` is ever constructed between the machine and
-        a batch consumer (the v3 cache writer, the loop detector's
-        ``feed_batch``).
+        The interpretation loop appends directly to the batch columns,
+        so no :class:`~repro.trace.record.CFRecord` is ever constructed
+        between the machine and a batch consumer (the v3 cache writer,
+        the loop detector's ``feed_batch``).
         """
         program = self.program
         chunk = self.chunk_size

@@ -14,29 +14,32 @@ repro.experiments.table1 --jobs 4``.
 
 from repro.analysis import AnalysisSuite
 from repro.experiments.report import ExperimentResult
-from repro.experiments.runner import (
-    available_experiments,
-    build_suite,
-    extra_experiments,
-    run_experiment,
-    select_experiments,
-)
 from repro.pipeline import PipelineConfig, SimulationSession
+
+#: Re-exported from :mod:`repro.experiments.runner` on first access, so
+#: importing the package does not import the module that ``python -m
+#: repro.experiments.runner`` is about to execute as ``__main__``.
+_RUNNER_EXPORTS = frozenset({
+    "available_experiments",
+    "build_suite",
+    "extra_experiments",
+    "run_experiment",
+    "select_experiments",
+})
 
 __all__ = [
     "AnalysisSuite",
     "ExperimentResult",
     "PipelineConfig",
     "SimulationSession",
-    "available_experiments",
-    "build_suite",
-    "extra_experiments",
-    "run_experiment",
-    "select_experiments",
+    *sorted(_RUNNER_EXPORTS),
 ]
 
 
 def __getattr__(name):
+    if name in _RUNNER_EXPORTS:
+        from repro.experiments import runner
+        return getattr(runner, name)
     if name == "SuiteRunner":
         from repro.experiments.runner import _removed
         _removed("repro.experiments.SuiteRunner")

@@ -26,7 +26,6 @@ import os
 from repro.cpu.machine import pack_program
 from repro.obs import collector as obs
 from repro.trace.io import (
-    BatchTraceWriter,
     TRACE_FORMAT_VERSION,
     atomic_writer,
     dump_cf_trace,
@@ -34,6 +33,7 @@ from repro.trace.io import (
     open_cf_batches,
     open_cf_records,
     read_cf_header,
+    write_cf_batches,
 )
 
 
@@ -145,22 +145,13 @@ class TraceCache:
 
     def store_stream(self, tracer, name, scale, max_instructions,
                      fingerprint):
-        """Atomically write a trace while it is being generated.
-
-        *tracer* follows the :class:`~repro.cpu.tracer.ChunkedCFTracer`
-        protocol: a ``batches()`` generator of
-        :class:`~repro.trace.batch.RecordBatch` plus
-        ``total_instructions``/``halted``/``program_name`` valid after
-        exhaustion.  Columns go from the interpretation loop to disk
-        without a record object or text line in between.
-        """
+        """Atomically write a trace while it is being generated (see
+        :func:`~repro.trace.io.write_cf_batches` for the *tracer*
+        protocol) -- the session's tracing path."""
         os.makedirs(self.root, exist_ok=True)
         path = self.path(name, scale, max_instructions, fingerprint)
         with atomic_writer(path, binary=True) as fh:
-            writer = BatchTraceWriter(fh, tracer.program_name)
-            for batch in tracer.batches():
-                writer.write_batch(batch)
-            writer.close(tracer.total_instructions, tracer.halted)
+            write_cf_batches(tracer, fh)
         self._note_written(path)
         return path
 

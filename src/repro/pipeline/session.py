@@ -135,45 +135,40 @@ class SimulationSession:
     def trace(self, name):
         """The control-flow trace of *name*, materialized and memoized."""
         if name not in self._traces:
-            workload = self._get(name)
-            limit = self.config.limit_for(workload)
+            limit = self.config.limit_for(self._get(name))
             trace = self._from_cache(name, limit)
             if trace is None:
-                trace = self._trace_now(name, limit)
+                self._trace_now(name, limit)
+                # Cacheless, _trace_now memoized the trace; otherwise
+                # it streamed into the cache.
+                trace = self._traces.get(name)
+                if trace is None:
+                    trace = self._from_cache(name, limit)
             self._traces[name] = trace
         return self._traces[name]
 
     def index(self, name):
         """The loop index of *name*, memoized.
 
-        When the trace lives only in the cache, records are streamed
+        When the trace lives only in the cache, batches are streamed
         into the detector without materializing the trace.
         """
         if name not in self._indexes:
             workload = self._get(name)
-            detector = LoopDetector(cls_capacity=self.config.cls_capacity)
-            if name in self._traces:
-                index = detector.run(self._traces[name])
-            else:
-                limit = self.config.limit_for(workload)
-                stream = (self._cache.open_batches(
-                              name, self.scale, limit,
-                              self._fingerprint(name))
-                          if self._cache is not None else None)
-                if stream is not None:
-                    self._mark(name, cached=True)
-                    header, batches = stream
-                    try:
-                        index = detector.run_batches(
-                            batches, header.total_instructions)
-                    except ValueError:
-                        # Entry truncated past its (valid) header; fall
-                        # back to re-tracing with a fresh detector.
-                        detector = LoopDetector(
-                            cls_capacity=self.config.cls_capacity)
-                        index = detector.run(self.trace(name))
-                else:
-                    index = detector.run(self.trace(name))
+            self.ensure_traced([name])
+            limit = self.config.limit_for(workload)
+            batches, total = self._open(name, limit)
+            try:
+                index = LoopDetector(
+                    cls_capacity=self.config.cls_capacity).run_batches(
+                        batches, total)
+            except _CorruptStream:
+                # Entry truncated past its (valid) header: re-trace and
+                # build the index afresh.
+                batches, total = self._open(name, limit, retrace=True)
+                index = LoopDetector(
+                    cls_capacity=self.config.cls_capacity).run_batches(
+                        batches, total)
             self._indexes[name] = index
         return self._indexes[name]
 
@@ -187,9 +182,10 @@ class SimulationSession:
     def analyze(self, suite):
         """Stream every workload once through *suite*.
 
-        The single analysis entrypoint: per workload, cached trace
-        records (or the in-memory trace, or a fresh inline trace) are
-        replayed exactly once through the canonical
+        The single analysis entrypoint: per workload, the cache
+        entry's batches (the in-memory trace in a cacheless session,
+        or after an explicit :meth:`trace`) are replayed exactly once
+        through the canonical
         :class:`LoopDetector`; the suite receives every record and loop
         event as it happens and each pass's ``finish`` sees the
         completed index.  ``stats.replays`` counts the replays — one
@@ -205,47 +201,20 @@ class SimulationSession:
     def _analyze_one(self, workload, suite):
         name = workload.name
         limit = self.config.limit_for(workload)
-        trace = self._traces.get(name)
-        stream = None
-        source = "memory"
-        if trace is None and self._cache is not None:
-            stream = self._cache.open_batches(name, self.scale, limit,
-                                              self._fingerprint(name))
-        if trace is None and stream is None:
-            trace = self.trace(name)
-            source = "traced"
-
-        if trace is not None:
-            batches = iter_batches(trace.records)
-            total = trace.total_instructions
-        else:
-            self._mark(name, cached=True)
-            source = "cache"
-            if obs.active() is not None:
-                try:
-                    obs.add("cache.bytes_read", os.path.getsize(
-                        self._cache.path(name, self.scale, limit,
-                                         self._fingerprint(name))))
-                except OSError:
-                    pass
-            header, cached_batches = stream
-            batches = _guard_stream(cached_batches)
-            total = header.total_instructions
-
+        source = "memory" if name in self._traces else "cache"
+        batches, total = self._open(name, limit)
         try:
             index = self._replay(workload, suite, batches, total,
                                  source=source)
         except _CorruptStream:
             # The cache entry was truncated past its (valid) header:
             # drop the partially fed state and replay from a fresh
-            # trace (trace() re-traces; load() evicted the entry).
-            # Exceptions raised by analysis passes themselves are NOT
-            # retried — only the stream's own ValueError is wrapped.
+            # trace.  Exceptions raised by analysis passes themselves
+            # are NOT retried -- only the stream's own ValueError is
+            # wrapped.
             suite.abort(self._context(workload, total))
-            trace = self.trace(name)
-            index = self._replay(workload, suite,
-                                 iter_batches(trace.records),
-                                 trace.total_instructions,
+            batches, total = self._open(name, limit, retrace=True)
+            index = self._replay(workload, suite, batches, total,
                                  source="retraced")
         self._indexes.setdefault(name, index)
 
@@ -381,18 +350,17 @@ class SimulationSession:
         # Absorb in configured order so memoization and any downstream
         # iteration see a deterministic sequence.
         for name, limit in missing:
-            if name in results:
-                self._mark(name, cached=False)
-                payload = results[name]
-                if payload is not None:
-                    # Cacheless pool results arrive through a shared-
-                    # memory segment (or raw v3 bytes as the fallback).
-                    self._traces[name] = \
-                        worker.load_trace_payload(payload)
-                # else: the worker streamed it into the cache; load
-                # lazily (index() streams it straight off disk).
-            else:
-                self._trace_now(name, limit, memoize=True)
+            if name not in results:
+                self._trace_now(name, limit)
+                continue
+            self._mark(name, cached=False)
+            payload = results[name]
+            if payload is not None:
+                # Cacheless pool results arrive through a shared-memory
+                # segment (or raw v3 bytes as the fallback).
+                self._traces[name] = worker.load_trace_payload(payload)
+            # else: the worker streamed it into the cache; replays and
+            # index() read it straight off disk.
 
     # -- internals -----------------------------------------------------------
 
@@ -444,14 +412,47 @@ class SimulationSession:
             self._mark(name, cached=True)
         return trace
 
-    def _trace_now(self, name, limit, memoize=False):
-        """Trace inline through the shared worker entry point; returns
-        the in-memory trace directly (no disk round-trip)."""
+    def _trace_now(self, name, limit):
+        """Trace inline through the shared worker entry point.
+
+        With a cache the trace streams into it, and replays read the v3
+        entry exactly as after a pooled trace; cacheless, the trace is
+        memoized in memory."""
         self._mark(name, cached=False)
         with obs.span("trace", workload=name, mode="inline"):
-            _, trace = worker.trace_workload(
+            _, payload = worker.trace_workload(
                 self._by_name[name], self.scale, limit,
-                self.config.cache_dir, materialize=True)
-        if memoize:
-            self._traces[name] = trace
-        return trace
+                self.config.cache_dir)
+        if payload is not None:
+            self._traces[name] = worker.load_trace_payload(payload)
+
+    def _open(self, name, limit, retrace=False):
+        """``(batches, total_instructions)`` for one replay of *name*:
+        the memoized trace, else the cache entry's v3 batch stream,
+        which raises :class:`_CorruptStream` if the file turns out
+        truncated mid-stream.  With *retrace* (or when the entry cannot
+        be opened) *name* is traced afresh first, overwriting the
+        entry."""
+        if retrace:
+            self._trace_now(name, limit)
+        trace = self._traces.get(name)
+        if trace is not None:
+            return iter_batches(trace.records), trace.total_instructions
+        fingerprint = self._fingerprint(name)
+        stream = self._cache.open_batches(name, self.scale, limit,
+                                          fingerprint)
+        if stream is None:
+            if retrace:
+                raise OSError("trace cache entry for %r unreadable "
+                              "right after writing it" % name)
+            return self._open(name, limit, retrace=True)
+        self._mark(name, cached=True)
+        if obs.active() is not None:
+            try:
+                obs.add("cache.bytes_read", os.path.getsize(
+                    self._cache.path(name, self.scale, limit,
+                                     fingerprint)))
+            except OSError:
+                pass
+        header, batches = stream
+        return _guard_stream(batches), header.total_instructions

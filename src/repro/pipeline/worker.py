@@ -8,27 +8,25 @@ top level (the pool pickles it by reference) and must not depend on any
 parent-process state beyond its arguments: under the ``spawn`` start
 method a fresh interpreter imports this module and nothing else.
 
-Pooled callers pass the workload *name* (resolved through the registry
-in the child) and get the trace via the cache — batches streamed to
-disk as columnar v3 chunks, nothing shipped over the result pipe — or,
-without a cache, as serialized v3 bytes.  With ``shared=True`` those
-bytes travel through a :mod:`multiprocessing.shared_memory` segment
-instead of being pickled over the pipe: the child ships only a tiny
+Inline callers pass the Workload object itself (which also supports
+unregistered workloads); pooled callers pass the workload *name*,
+resolved through the registry in the child.  Either way the
+:class:`~repro.cpu.tracer.ChunkedCFTracer` batches stream to the cache
+as columnar v3 chunks, nothing shipped back -- or, without a cache,
+into serialized v3 bytes.  With ``shared=True`` those bytes travel
+through a :mod:`multiprocessing.shared_memory` segment instead of being
+pickled over the pipe: the child ships only a tiny
 :class:`SharedTracePayload` descriptor, and the parent attaches, parses
-the segment zero-copy, and unlinks it (see
-:func:`load_trace_payload`).  Inline callers pass the Workload object
-itself (which also supports unregistered workloads) with
-``materialize=True`` and get the in-memory :class:`CFTrace` directly,
-with no disk round-trip.
+the segment zero-copy, and unlinks it (see :func:`load_trace_payload`).
 """
 
+import io
 from typing import NamedTuple
 
 from repro.cpu.tracer import ChunkedCFTracer
 from repro.obs import collector as obs
 from repro.pipeline.cache import TraceCache, program_fingerprint
-from repro.trace.io import TRACE_FORMAT_VERSION, dumps_cf_trace, \
-    loads_cf_trace
+from repro.trace.io import loads_cf_trace, write_cf_batches
 
 
 class SharedTracePayload(NamedTuple):
@@ -46,15 +44,12 @@ class SharedTracePayload(NamedTuple):
 
 
 def trace_workload(workload, scale=1, max_instructions=None,
-                   cache_dir=None, materialize=False, shared=False,
-                   observe=False):
+                   cache_dir=None, shared=False, observe=False):
     """Trace one workload (a registered name or a Workload object).
 
     Returns ``(name, payload)`` where *payload* is:
 
-    * the :class:`CFTrace` itself when ``materialize=True``;
-    * ``None`` when the trace was written to (or already present in)
-      the cache;
+    * ``None`` when the trace was written to the cache;
     * with ``shared=True``, a :class:`SharedTracePayload` descriptor
       for a shared-memory segment holding the serialized v3 trace
       (falling back to plain bytes when no segment can be created);
@@ -82,7 +77,7 @@ def trace_workload(workload, scale=1, max_instructions=None,
             with obs.span("trace", workload=label, mode="pool"):
                 name, payload = trace_workload(
                     workload, scale, max_instructions, cache_dir,
-                    materialize=materialize, shared=shared)
+                    shared=shared)
         finally:
             obs.deactivate()
         return name, payload, collector.export()
@@ -93,22 +88,16 @@ def trace_workload(workload, scale=1, max_instructions=None,
     name = workload.name
     limit = max_instructions or workload.default_max_instructions
 
+    program = workload.program(scale)
+    tracer = ChunkedCFTracer(program, limit)
     if cache_dir is not None:
-        cache = TraceCache(cache_dir)
-        fingerprint = program_fingerprint(workload.program(scale))
-        if materialize:
-            trace = workload.cf_trace(scale, limit)
-            cache.store(trace, name, scale, limit, fingerprint)
-            return name, trace
-        if not cache.has(name, scale, limit, fingerprint):
-            tracer = ChunkedCFTracer(workload.program(scale), limit)
-            cache.store_stream(tracer, name, scale, limit, fingerprint)
+        TraceCache(cache_dir).store_stream(
+            tracer, name, scale, limit, program_fingerprint(program))
         return name, None
 
-    trace = workload.cf_trace(scale, limit)
-    if materialize:
-        return name, trace
-    data = dumps_cf_trace(trace, version=TRACE_FORMAT_VERSION)
+    buf = io.BytesIO()
+    write_cf_batches(tracer, buf)
+    data = buf.getvalue()
     if shared:
         descriptor = _ship_shared(data)
         if descriptor is not None:
@@ -151,8 +140,7 @@ def _ship_shared(data):
 
 
 def load_trace_payload(payload):
-    """Decode a non-``materialize`` worker *payload* into a
-    :class:`CFTrace`.
+    """Decode a cacheless worker *payload* into a :class:`CFTrace`.
 
     Serialized bytes parse directly; a :class:`SharedTracePayload` is
     attached, parsed zero-copy out of the segment, and the segment is

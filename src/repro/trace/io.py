@@ -521,6 +521,22 @@ class BatchTraceWriter:
         return self._count
 
 
+def write_cf_batches(tracer, fh):
+    """Write a trace to the binary, seekable *fh* as v3 while it is
+    being generated.
+
+    *tracer* follows the :class:`~repro.cpu.tracer.ChunkedCFTracer`
+    protocol: a ``batches()`` generator of :class:`RecordBatch` plus
+    ``total_instructions``/``halted``/``program_name`` valid after
+    exhaustion.  Columns go from the interpretation loop to *fh*
+    without a record object in between.
+    """
+    writer = BatchTraceWriter(fh, tracer.program_name)
+    for batch in tracer.batches():
+        writer.write_batch(batch)
+    writer.close(tracer.total_instructions, tracer.halted)
+
+
 # -- reading -----------------------------------------------------------------
 
 def _open_sniffed(path):

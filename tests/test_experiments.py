@@ -252,6 +252,24 @@ class TestExperimentSelection:
         assert "table1" in out
         assert "swim" in out and "go" in out
 
+    def test_module_entry_point_stderr_clean(self):
+        """``python -m repro.experiments.runner`` must not trip runpy's
+        found-in-sys.modules warning: importing the package must not
+        import the runner module."""
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runner", "--list"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "table1" in result.stdout
+
     def test_cli_rejects_unknown_workload(self, capsys):
         from repro.experiments.runner import main
         with pytest.raises(SystemExit):

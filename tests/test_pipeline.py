@@ -164,18 +164,24 @@ class TestCache:
     def test_stale_entry_ignored_after_program_change(self, tmp_path,
                                                       monkeypatch):
         # Same name/scale/budget but different program content must not
-        # hit: fake a changed program by perturbing the fingerprint.
+        # hit: fake a changed program by perturbing the fingerprint
+        # wherever a cache key is computed (session and tracer worker).
         cache_dir = str(tmp_path / "cache")
         SimulationSession(config(cache_dir=cache_dir)).indexes()
+        old_entries = sorted(os.listdir(cache_dir))
         from repro.pipeline import cache as cache_mod
         from repro.pipeline import session as session_mod
         real = cache_mod.program_fingerprint
-        monkeypatch.setattr(session_mod, "program_fingerprint",
-                            lambda program: real(program)[::-1])
+        for module in (session_mod, worker):
+            monkeypatch.setattr(module, "program_fingerprint",
+                                lambda program: real(program)[::-1])
         changed = SimulationSession(config(cache_dir=cache_dir))
         changed.indexes()
         assert changed.stats.traced == 2
         assert changed.stats.cache_hits == 0
+        entries = sorted(os.listdir(cache_dir))
+        assert len(entries) == 2 * len(old_entries)
+        assert set(old_entries) < set(entries)
 
     def test_corrupt_entry_is_a_miss_and_retraced(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -194,6 +200,63 @@ class TestCache:
         for name in WORKLOADS:
             assert index_shape(second_idx[name]) \
                 == index_shape(first_idx[name])
+
+
+def cache_entries(cache_dir):
+    entries = {}
+    for entry in sorted(os.listdir(cache_dir)):
+        with open(os.path.join(cache_dir, entry), "rb") as fh:
+            entries[entry] = fh.read()
+    return entries
+
+
+def table1_rows(session):
+    from repro.experiments import build_suite
+    suite, by_name = build_suite(["table1"])
+    session.analyze(suite)
+    return by_name["table1"].result().rows
+
+
+class TestInlineTracingStreamsToCache:
+    """A cold ``jobs=1`` session traces into the cache and replays from
+    the v3 entry, exactly as after a pooled trace."""
+
+    def test_inline_and_pooled_write_identical_entries(self, tmp_path):
+        inline_dir = str(tmp_path / "inline")
+        pooled_dir = str(tmp_path / "pooled")
+        SimulationSession(config(jobs=1, cache_dir=inline_dir)) \
+            .ensure_traced()
+        SimulationSession(config(jobs=2, cache_dir=pooled_dir)) \
+            .ensure_traced()
+        inline = cache_entries(inline_dir)
+        assert len(inline) == len(WORKLOADS)
+        assert inline == cache_entries(pooled_dir)
+
+    def test_cold_analyze_replays_from_cache(self, tmp_path):
+        session = SimulationSession(config(
+            jobs=1, cache_dir=str(tmp_path / "cache")))
+        rows = table1_rows(session)
+        assert session._traces == {}
+        assert (session.stats.traced, session.stats.cache_hits,
+                session.stats.replays) == (2, 0, 2)
+        assert rows == table1_rows(SimulationSession(config()))
+
+    def test_truncated_entry_retraced_inline(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        SimulationSession(config(cache_dir=cache_dir)).ensure_traced()
+        pristine = cache_entries(cache_dir)
+        for entry, data in pristine.items():
+            with open(os.path.join(cache_dir, entry), "wb") as fh:
+                fh.write(data[:len(data) * 3 // 4])
+        session = SimulationSession(config(jobs=1, cache_dir=cache_dir))
+        rows = table1_rows(session)
+        # Per workload: one replay aborted mid-stream, one from the
+        # re-traced entry.
+        assert (session.stats.traced, session.stats.cache_hits,
+                session.stats.replays) == (2, 0, 4)
+        assert session._traces == {}
+        assert cache_entries(cache_dir) == pristine
+        assert rows == table1_rows(SimulationSession(config()))
 
 
 class TestStreamingDetection:
@@ -230,14 +293,6 @@ class TestWorker:
         header, records = cache.open_records("go", 1, LIMIT, fp)
         count = sum(1 for _ in records)
         assert count == header.records
-
-    def test_worker_materialize_skips_disk_roundtrip(self, tmp_path):
-        from repro.trace.stream import CFTrace
-        cache_dir = str(tmp_path / "cache")
-        name, trace = worker.trace_workload("go", 1, LIMIT, cache_dir,
-                                            materialize=True)
-        assert isinstance(trace, CFTrace)
-        assert os.listdir(cache_dir)   # still persisted for next time
 
 
 class TestUnregisteredWorkloads:

@@ -554,14 +554,6 @@ class TestTracerBatches:
         assert tracer.total_instructions == loop_trace.total_instructions
         assert tracer.halted == loop_trace.halted
 
-    def test_chunks_adapter_still_yields_record_lists(self, loop_trace):
-        tracer = ChunkedCFTracer(assemble(LOOP_SRC), chunk_size=4)
-        chunks = list(tracer.chunks())
-        assert all(isinstance(rec, CFRecord)
-                   for chunk in chunks for rec in chunk)
-        assert [r for chunk in chunks for r in chunk] \
-            == loop_trace.records
-
     def test_results_not_ready_before_exhaustion(self):
         tracer = ChunkedCFTracer(assemble(LOOP_SRC))
         with pytest.raises(RuntimeError):

@@ -4,10 +4,13 @@ against the readable reference machine."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu import Machine, trace_control_flow, trace_full
+from repro.cpu import ChunkedCFTracer, Machine, trace_control_flow, \
+    trace_full
 from repro.cpu.tracer import TraceBudgetExceeded
 from repro.isa import InstrKind, Instruction, Opcode, Program, assemble
+from repro.search.corpus import frontier_names
 from repro.trace import CFRecord
+from repro.workloads import SUITE_ORDER, get as get_workload
 
 LOOP_SRC = """
 .data table 8 = 3 1 4 1 5 9 2 6
@@ -25,7 +28,8 @@ loop:
 
 
 def machine_cf_records(program, budget=100000):
-    """Step the reference machine, reconstructing CF records."""
+    """Step the reference machine, reconstructing CF records; returns
+    ``(records, instructions, halted)``."""
     machine = Machine(program)
     records = []
     seq = 0
@@ -45,13 +49,13 @@ def machine_cf_records(program, budget=100000):
                 records.append(CFRecord(seq, pc_before, int(instr.kind),
                                         True, machine.pc))
         seq += 1
-    return records, seq
+    return records, seq, machine.halted
 
 
 class TestControlFlowTrace:
     def test_matches_reference_machine(self):
         program = assemble(LOOP_SRC)
-        expected, count = machine_cf_records(program)
+        expected, count, _ = machine_cf_records(program)
         trace = trace_control_flow(program)
         assert trace.records == expected
         assert trace.total_instructions == count
@@ -175,6 +179,48 @@ class TestDifferential:
         cf.validate()
 
 
+def _pin_batches_to_machine(program, budget, chunk_size):
+    """``ChunkedCFTracer.batches()`` -- the one control-flow
+    interpretation loop -- must reproduce the reference machine's
+    control-flow records, instruction count and halt flag exactly."""
+    expected, count, halted = machine_cf_records(program, budget)
+    tracer = ChunkedCFTracer(program, budget, chunk_size=chunk_size)
+    records = []
+    for batch in tracer.batches():
+        assert 0 < len(batch) <= chunk_size
+        records.extend(batch.iter_records())
+    assert records == expected
+    assert tracer.total_instructions == count
+    assert tracer.halted == halted
+    assert tracer.program_name == program.name
+
+
+class TestBatchesAgainstMachine:
+    """Pins the chunked tracer's batch emission directly against the
+    reference machine, not through any collector built on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(looped_programs(), st.integers(min_value=1, max_value=16))
+    def test_random_programs(self, program, chunk_size):
+        _pin_batches_to_machine(program, 100000, chunk_size)
+
+    def test_truncated_program(self):
+        program = assemble("main:\n  jmp main\n  halt\n")
+        _pin_batches_to_machine(program, 50, 8)
+
+    @pytest.mark.parametrize("name", SUITE_ORDER)
+    def test_suite_analog(self, name):
+        workload = get_workload(name)
+        _pin_batches_to_machine(workload.program(),
+                                workload.default_max_instructions, 4096)
+
+    @pytest.mark.parametrize("name", frontier_names())
+    def test_frontier_case(self, name):
+        workload = get_workload(name)
+        _pin_batches_to_machine(workload.program(),
+                                workload.default_max_instructions, 512)
+
+
 def _chunk_fixture():
     """A program with calls, nested loops and irregular branches."""
     from repro.workloads import get
@@ -182,28 +228,14 @@ def _chunk_fixture():
 
 
 class TestChunkedTracer:
-    """The chunked/streaming tracer is pinned to the monolithic one."""
-
-    def test_chunks_concatenate_to_full_trace(self):
-        from repro.cpu import ChunkedCFTracer
-        program = _chunk_fixture()
-        full = trace_control_flow(program, 50_000)
-        tracer = ChunkedCFTracer(program, 50_000, chunk_size=7)
-        records = []
-        for chunk in tracer.chunks():
-            assert 0 < len(chunk) <= 7
-            records.extend(chunk)
-        assert records == full.records
-        assert tracer.total_instructions == full.total_instructions
-        assert tracer.halted == full.halted
-        assert tracer.program_name == full.program_name
+    """Lifecycle of the chunked/streaming tracer's batch generator."""
 
     def test_metadata_unavailable_before_exhaustion(self):
         from repro.cpu import ChunkedCFTracer
         tracer = ChunkedCFTracer(_chunk_fixture(), 1_000)
         with pytest.raises(RuntimeError):
             tracer.total_instructions
-        gen = tracer.chunks()
+        gen = tracer.batches()
         next(gen)
         with pytest.raises(RuntimeError):
             tracer.halted
@@ -214,7 +246,7 @@ class TestChunkedTracer:
         tracer = ChunkedCFTracer(_chunk_fixture(), 10,
                                  allow_truncation=False)
         with pytest.raises(TraceBudgetExceeded):
-            list(tracer.chunks())
+            list(tracer.batches())
 
     def test_bad_chunk_size_rejected(self):
         from repro.cpu import ChunkedCFTracer
