@@ -3,7 +3,7 @@
 The suite runner (workload tracing + loop detection) is built once per
 session; each benchmark then measures the analysis it owns and prints
 the regenerated table/figure so the output can be compared with the
-paper (see EXPERIMENTS.md for the side-by-side record).
+paper (see the "Reproduced results" section of README.md).
 """
 
 import pytest

@@ -284,12 +284,12 @@ def shared_dataspec_stats(ctx, max_instructions):
     (figure8 and the extensions study share one full-effects stream
     and one analysis).
 
-    The stream is columnar end to end: a
-    :class:`~repro.cpu.tracer.ChunkedFullTracer` feeds
-    :class:`~repro.trace.batch.FullBatch` columns straight into
-    :meth:`~repro.core.dataspec.stats.DataSpeculationAnalyzer.
-    analyze_batches`, so the full per-instruction trace is never
-    materialized.
+    The stream is per basic block: a
+    :class:`~repro.cpu.tracer.ChunkedFullTracer` runs compiled blocks
+    and feeds each block's closing transfer and live-in candidates
+    straight into :meth:`~repro.core.dataspec.stats.
+    DataSpeculationAnalyzer.analyze_batches`, so no per-instruction
+    trace is ever materialized.
     """
     key = (_DATASPEC_KEY, max_instructions)
     stats = ctx.shared.get(key)

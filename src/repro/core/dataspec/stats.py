@@ -135,14 +135,14 @@ class DataSpecStats:
 
 
 class _BatchTracker:
-    """One in-flight iteration's state for the columnar collect loop.
+    """One in-flight iteration's state for the block-stream collect loop.
 
     Unlike :class:`~repro.core.dataspec.livein.IterationTracker` it
-    keeps no written-register/written-address sets: the batched
-    pass tracks the *global* last-write sequence per register and
-    address instead, and an operand is live-in exactly when its last
-    write is not after the iteration's start (``lw <= start``).  The
-    path signature is folded inline.
+    keeps no written-register/written-address sets: every live-in
+    candidate of the block stream carries the *global* last-write
+    sequence of its register or address instead, and it is live-in
+    exactly when that write is not after the iteration's start
+    (``lw <= start``).  The path signature is folded inline.
     """
 
     __slots__ = ("loop", "exec_id", "iteration", "start", "sigval",
@@ -164,11 +164,11 @@ class DataSpeculationAnalyzer:
 
     Two equivalent front ends: :meth:`analyze` consumes a materialized
     :class:`~repro.trace.stream.FullTrace` (the reference
-    implementation), :meth:`analyze_batches` streams
-    :class:`~repro.trace.batch.FullBatch` columns from a
-    :class:`~repro.cpu.tracer.ChunkedFullTracer` without ever building
-    a record object -- the pipeline's path.  Equivalence is pinned by
-    tests.
+    implementation), :meth:`analyze_batches` walks the basic-block
+    stream of a :class:`~repro.cpu.tracer.ChunkedFullTracer` -- one
+    closing transfer plus live-in candidates per block, never a
+    per-instruction record -- the pipeline's path.  Equivalence is
+    pinned by tests.
     """
 
     def __init__(self, cls_capacity=16):
@@ -179,8 +179,9 @@ class DataSpeculationAnalyzer:
         return self._evaluate(observations_by_loop, profile, name)
 
     def analyze_batches(self, batches, name="workload"):
-        """Run the study over an iterable of
-        :class:`~repro.trace.batch.FullBatch` (must cover every
+        """Run the study over the block lists of
+        :meth:`ChunkedFullTracer.batches()
+        <repro.cpu.tracer.ChunkedFullTracer.batches>` (must cover every
         executed instruction contiguously from sequence 0)."""
         observations_by_loop, profile = self._collect_batches(batches)
         return self._evaluate(observations_by_loop, profile, name)
@@ -227,14 +228,17 @@ class DataSpeculationAnalyzer:
         return observations, profile
 
     def _collect_batches(self, batches):
-        """Columnar twin of :meth:`_collect`.
+        """Block-stream twin of :meth:`_collect`.
 
-        Per instruction the loop touches only the populated effect
-        slots; register/address write *sets* per iteration are replaced
-        by two global last-write maps, so stores and register writes
-        cost one dict assignment regardless of how many iterations are
-        in flight.  Event handling, finalization order and the
-        resulting observations are identical to the per-record pass.
+        Every instruction of a block belongs to the same in-flight
+        iterations (loop events fire only at its closing transfer), so
+        the block's live-in candidates are applied to each live tracker
+        at once: a candidate whose last write is not after the
+        iteration's start (``lw <= start``) is live-in unless the
+        iteration already holds that register or load pc.  Then the
+        transfer is processed.  Event handling, finalization order and
+        the resulting observations are identical to the per-record
+        pass.
         """
         cls = CurrentLoopStack(capacity=self.cls_capacity)
         process = cls.process
@@ -243,13 +247,9 @@ class DataSpeculationAnalyzer:
         observations = {}             # loop -> [IterationObservation]
         profile = PathProfile()
         record_path = profile.record
-        last_reg_write = {}           # reg -> seq of latest write
-        last_mem_write = {}           # addr -> seq of latest store
-        rw_get = last_reg_write.get
-        mw_get = last_mem_write.get
         hash_mask = _HASH_MASK
         hash_mult = HASH_MULTIPLIER
-        seq = 0
+        end = 0
 
         def finalize(t):
             digest = (t.sigval, t.siglen)
@@ -258,61 +258,45 @@ class DataSpeculationAnalyzer:
                                        digest, t.live_regs, t.live_mem)
             observations.setdefault(t.loop, []).append(obs)
 
-        for batch in batches:
-            for pc, kind, taken, target, r1, v1, r2, v2, w, ma, mv, wa \
-                    in zip(batch.pcs, batch.kinds, batch.takens,
-                           batch.targets, batch.rr1, batch.rv1,
-                           batch.rr2, batch.rv2, batch.wr, batch.mra,
-                           batch.mrv, batch.mwa):
-                # The instruction belongs to the iterations in flight
-                # *before* any loop event it triggers (a closing branch
-                # is part of the iteration it ends).
+        for blocks in batches:
+            for seq, pc, kind, taken, target, regs, loads in blocks:
                 if live:
-                    if r1 >= 0:
-                        lw = rw_get(r1, -1)
+                    for reg, lw, value in regs:
                         for t in live:
-                            if lw <= t.start and r1 not in t.live_regs:
-                                t.live_regs[r1] = v1
-                    if r2 >= 0:
-                        lw = rw_get(r2, -1)
+                            if lw <= t.start and reg not in t.live_regs:
+                                t.live_regs[reg] = value
+                    for lpc, addr, value, lw in loads:
                         for t in live:
-                            if lw <= t.start and r2 not in t.live_regs:
-                                t.live_regs[r2] = v2
-                    if ma is not None:
-                        lw = mw_get(ma, -1)
-                        for t in live:
-                            if lw <= t.start and pc not in t.live_mem:
-                                t.live_mem[pc] = (ma, mv)
-                if w >= 0:
-                    last_reg_write[w] = seq
-                if wa is not None:
-                    last_mem_write[wa] = seq
-                if kind:
-                    if live:
+                            if lw <= t.start and lpc not in t.live_mem:
+                                t.live_mem[lpc] = (addr, value)
+                    if kind:
                         token = pc * 2 + taken
                         for t in live:
                             t.sigval = ((t.sigval * hash_mult) ^ token) \
                                 & hash_mask
                             t.siglen += 1
-                    events = process(seq, pc, kind, taken,
-                                     None if target < 0 else target)
-                    if events:
-                        for event in events:
-                            etype = type(event)
-                            if etype is IterationStart:
-                                old = trackers.get(event.exec_id)
-                                if old is not None:
-                                    finalize(old)
-                                trackers[event.exec_id] = _BatchTracker(
-                                    event.loop, event.exec_id,
-                                    event.iteration, seq)
-                            elif etype is ExecutionEnd:
-                                old = trackers.pop(event.exec_id, None)
-                                if old is not None:
-                                    finalize(old)
-                        live = tuple(trackers.values())
-                seq += 1
-        for event in cls.flush(seq):
+                if not kind:
+                    continue
+                events = process(seq, pc, kind, taken,
+                                 None if target < 0 else target)
+                if events:
+                    for event in events:
+                        etype = type(event)
+                        if etype is IterationStart:
+                            old = trackers.get(event.exec_id)
+                            if old is not None:
+                                finalize(old)
+                            trackers[event.exec_id] = _BatchTracker(
+                                event.loop, event.exec_id,
+                                event.iteration, seq)
+                        elif etype is ExecutionEnd:
+                            old = trackers.pop(event.exec_id, None)
+                            if old is not None:
+                                finalize(old)
+                    live = tuple(trackers.values())
+            if blocks:
+                end = blocks[-1][0] + 1
+        for event in cls.flush(end):
             if type(event) is ExecutionEnd:
                 old = trackers.pop(event.exec_id, None)
                 if old is not None:

@@ -9,14 +9,14 @@ Loops over the packed program form:
   to disk, and :func:`trace_control_flow` collects it into an
   in-memory :class:`~repro.trace.stream.CFTrace` of
   :class:`~repro.trace.record.CFRecord`.
-* :meth:`ChunkedFullTracer.batches` records every instruction's
-  register and memory effects as :class:`~repro.trace.batch.FullBatch`
-  columns -- the input to the data-speculation study.
-  :func:`trace_full` is its reference: it also records the
-  register-write and memory-write values that ``FullBatch`` drops, as
-  :class:`~repro.trace.record.FullRecord` tuples.
+* :meth:`ChunkedFullTracer.batches` runs compiled basic blocks (see
+  :mod:`repro.cpu.blocks`) and emits, per block, its closing transfer
+  and live-in candidates -- the input to the data-speculation study.
+  :func:`trace_full` is its reference: it records every instruction's
+  register and memory effects as :class:`~repro.trace.record.FullRecord`
+  tuples.
 
-All deliberately duplicate the dispatch of :class:`repro.cpu.machine.
+All deliberately duplicate the semantics of :class:`repro.cpu.machine.
 Machine`; the duplication is the price of a usable simulation rate in
 pure Python, and equivalence is pinned by differential tests.
 """
@@ -28,16 +28,14 @@ from repro.isa.instructions import InstrKind
 from repro.isa.registers import NUM_REGISTERS, REG_SP
 from repro.cpu.machine import (
     BRANCH_CODES,
-    C_ADD, C_ADDI, C_AND, C_ANDI, C_BEQ, C_BGE, C_BGT, C_BLE, C_BLT, C_BNE,
-    C_CALL, C_DIV, C_DIVI, C_HALT, C_JMP, C_JR, C_LD, C_LI, C_MAX, C_MIN,
-    C_MV, C_MUL, C_MULI, C_NOP, C_OR, C_ORI, C_REM, C_REMI, C_RET, C_SEQ,
-    C_SLE, C_SLL, C_SLLI, C_SLT, C_SLTI, C_SNE, C_SRA, C_SRAI, C_SRL,
-    C_SRLI, C_ST, C_SUB, C_SUBI, C_XOR, C_XORI,
+    C_ADD, C_ADDI, C_CALL, C_HALT, C_JMP, C_JR, C_LD, C_LI, C_MAX, C_MUL,
+    C_MULI, C_MV, C_NOP, C_RET, C_SLTI, C_ST, C_SUB,
     STACK_TOP,
     _ALU, _BRANCH, _IMM_TO_REG,
     pack_program, wrap64,
 )
-from repro.trace.batch import NO_TARGET, FullBatch, RecordBatch
+from repro.cpu.blocks import BlockCompiler
+from repro.trace.batch import NO_TARGET, RecordBatch
 from repro.trace.record import FullRecord
 from repro.trace.stream import CFTrace, FullTrace
 
@@ -403,25 +401,26 @@ def trace_full(program, max_instructions=1_000_000, allow_truncation=True):
 
 
 class ChunkedFullTracer:
-    """Full-effects tracing with bounded-memory columnar emission.
+    """Full-effects tracing as a stream of compiled basic blocks.
 
-    The dispatch of :func:`trace_full`, emitting
-    :class:`~repro.trace.batch.FullBatch` columns instead of
-    :class:`~repro.trace.record.FullRecord` tuples: per instruction the
-    loop appends to the fixed effect slots (two register reads, one
-    register write, one memory access -- see :class:`FullBatch`), so
-    the data-speculation study streams a workload's architectural
-    effects without materializing millions of nested tuples.
-    Equivalence with :func:`trace_full` is pinned by tests.
-
-    Reads of (and writes to) register 0 are not emitted -- the zero
-    register is never a live-in and its writes are discarded.
+    The input to the data-speculation study.  :meth:`batches` runs the
+    program one basic block at a time, each compiled on first entry by
+    a :class:`~repro.cpu.blocks.BlockCompiler`, and emits per block
+    only what the live-in study can use: the closing transfer plus the
+    block's register and load live-in candidates (see
+    :mod:`repro.cpu.blocks`).  :func:`trace_full` is the reference:
+    :meth:`~repro.core.dataspec.stats.DataSpeculationAnalyzer.
+    analyze_batches` over this stream equals
+    :meth:`~repro.core.dataspec.stats.DataSpeculationAnalyzer.analyze`
+    over :func:`trace_full`, pinned by tests.
 
     ``total_instructions`` and ``halted`` are only valid once
     :meth:`batches` is exhausted, as for :class:`ChunkedCFTracer`.
     """
 
-    DEFAULT_CHUNK = 32768
+    #: Blocks per yielded list.  Small lists let each block's tuples die
+    #: young, which keeps the garbage collector's old generations small.
+    DEFAULT_CHUNK = 64
 
     def __init__(self, program, max_instructions=1_000_000,
                  allow_truncation=True, chunk_size=DEFAULT_CHUNK):
@@ -449,260 +448,55 @@ class ChunkedFullTracer:
         return self._halted
 
     def batches(self):
-        """Generate :class:`FullBatch` columns of at most ``chunk_size``
-        instructions, in execution order."""
+        """Generate lists of at most ``chunk_size`` blocks, in execution
+        order.  Each block is a ``(seq, pc, kind, taken, target,
+        reg_candidates, load_candidates)`` tuple (``target`` is
+        :data:`~repro.trace.batch.NO_TARGET` for halt); a budget that
+        ends inside a block yields that block's prefix with kind 0.
+
+        Blocks are compiled on first entry and cached for this call
+        only.
+        """
         program = self.program
         chunk = self.chunk_size
-        max_instructions = self.max_instructions
-        packed = pack_program(program)
+        budget = self.max_instructions
         regs = [0] * NUM_REGISTERS
         regs[REG_SP] = STACK_TOP
-        mem = dict(program.data.initial)
-        mem_get = mem.get
+        out = []
+        compile_block = BlockCompiler(pack_program(program), regs,
+                                      dict(program.data.initial),
+                                      out.append).compile
+        compiled = {}                 # entry pc -> (block, length, kind)
+        lookup = compiled.get
         pc = program.entry
         seq = 0
-        start_seq = 0
         halted = False
-        alu = _ALU
-        branch = _BRANCH
-        k_other = int(InstrKind.OTHER)
 
-        def fresh():
-            return ([], [], [], [], [], [], [], [], [], [], [], [])
-
-        (pcs, kinds, takens, targets, rr1, rv1, rr2, rv2, wr, mra, mrv,
-         mwa) = fresh()
-
-        while seq < max_instructions:
-            if len(pcs) >= chunk:
-                yield FullBatch(start_seq, pcs, kinds, takens, targets,
-                                rr1, rv1, rr2, rv2, wr, mra, mrv, mwa)
-                start_seq = seq
-                (pcs, kinds, takens, targets, rr1, rv1, rr2, rv2, wr,
-                 mra, mrv, mwa) = fresh()
-            code, rd, rs1, rs2, imm, target = packed[pc]
-            if code <= C_MAX:  # three-register ALU block
-                a = regs[rs1]
-                b = regs[rs2]
-                v = alu[code](a, b)
-                if rd:
-                    regs[rd] = v
-                kinds.append(k_other)
-                takens.append(0)
-                targets.append(NO_TARGET)
-                rr1.append(rs1 if rs1 else -1)
-                rv1.append(a)
-                rr2.append(rs2 if rs2 else -1)
-                rv2.append(b)
-                wr.append(rd if rd else -1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc += 1
-            elif code <= C_SLTI:  # immediate ALU block
-                a = regs[rs1]
-                v = alu[_IMM_TO_REG[code]](a, imm)
-                if rd:
-                    regs[rd] = v
-                kinds.append(k_other)
-                takens.append(0)
-                targets.append(NO_TARGET)
-                rr1.append(rs1 if rs1 else -1)
-                rv1.append(a)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(rd if rd else -1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc += 1
-            elif code == C_LI:
-                if rd:
-                    regs[rd] = imm
-                kinds.append(k_other)
-                takens.append(0)
-                targets.append(NO_TARGET)
-                rr1.append(-1)
-                rv1.append(0)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(rd if rd else -1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc += 1
-            elif code == C_MV:
-                a = regs[rs1]
-                if rd:
-                    regs[rd] = a
-                kinds.append(k_other)
-                takens.append(0)
-                targets.append(NO_TARGET)
-                rr1.append(rs1 if rs1 else -1)
-                rv1.append(a)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(rd if rd else -1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc += 1
-            elif code == C_LD:
-                base = regs[rs1]
-                addr = base + imm
-                v = mem_get(addr, 0)
-                if rd:
-                    regs[rd] = v
-                kinds.append(k_other)
-                takens.append(0)
-                targets.append(NO_TARGET)
-                rr1.append(rs1 if rs1 else -1)
-                rv1.append(base)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(rd if rd else -1)
-                mra.append(addr)
-                mrv.append(v)
-                mwa.append(None)
-                pcs.append(pc)
-                pc += 1
-            elif code == C_ST:
-                base = regs[rs1]
-                addr = base + imm
-                v = regs[rs2]
-                mem[addr] = v
-                kinds.append(k_other)
-                takens.append(0)
-                targets.append(NO_TARGET)
-                rr1.append(rs1 if rs1 else -1)
-                rv1.append(base)
-                rr2.append(rs2 if rs2 else -1)
-                rv2.append(v)
-                wr.append(-1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(addr)
-                pcs.append(pc)
-                pc += 1
-            elif code in BRANCH_CODES:
-                a = regs[rs1]
-                b = regs[rs2]
-                taken = branch[code](a, b)
-                kinds.append(_K_BRANCH)
-                takens.append(1 if taken else 0)
-                targets.append(target)
-                rr1.append(rs1 if rs1 else -1)
-                rv1.append(a)
-                rr2.append(rs2 if rs2 else -1)
-                rv2.append(b)
-                wr.append(-1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc = target if taken else pc + 1
-            elif code == C_JMP:
-                kinds.append(_K_JUMP)
-                takens.append(1)
-                targets.append(target)
-                rr1.append(-1)
-                rv1.append(0)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(-1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc = target
-            elif code == C_CALL:
-                regs[1] = pc + 1
-                kinds.append(_K_CALL)
-                takens.append(1)
-                targets.append(target)
-                rr1.append(-1)
-                rv1.append(0)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc = target
-            elif code == C_RET:
-                nxt = regs[1]
-                kinds.append(_K_RET)
-                takens.append(1)
-                targets.append(nxt)
-                rr1.append(1)
-                rv1.append(nxt)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(-1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc = nxt
-            elif code == C_JR:
-                nxt = regs[rs1]
-                kinds.append(_K_IJUMP)
-                takens.append(1)
-                targets.append(nxt)
-                rr1.append(rs1 if rs1 else -1)
-                rv1.append(nxt)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(-1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc = nxt
-            elif code == C_HALT:
-                kinds.append(_K_HALT)
-                takens.append(0)
-                targets.append(NO_TARGET)
-                rr1.append(-1)
-                rv1.append(0)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(-1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                seq += 1
+        while seq < budget:
+            entry = lookup(pc)
+            if entry is None:
+                entry = compiled[pc] = compile_block(pc)
+            block, length, kind = entry
+            if seq + length > budget:
+                compile_block(pc, budget - seq)[0](seq)
+                seq = budget
+                break
+            pc = block(seq)
+            seq += length
+            if kind == _K_HALT:
                 halted = True
                 break
-            else:  # NOP
-                kinds.append(k_other)
-                takens.append(0)
-                targets.append(NO_TARGET)
-                rr1.append(-1)
-                rv1.append(0)
-                rr2.append(-1)
-                rv2.append(0)
-                wr.append(-1)
-                mra.append(None)
-                mrv.append(None)
-                mwa.append(None)
-                pcs.append(pc)
-                pc += 1
-            seq += 1
+            if len(out) >= chunk:
+                blocks = out[:]
+                del out[:]
+                yield blocks
 
         if not halted and not self.allow_truncation:
             raise TraceBudgetExceeded(
                 "program %r did not halt within %d instructions"
-                % (program.name, max_instructions))
-        if pcs:
-            yield FullBatch(start_seq, pcs, kinds, takens, targets,
-                            rr1, rv1, rr2, rv2, wr, mra, mrv, mwa)
+                % (program.name, budget))
+        if out:
+            yield out
         self._total = seq
         self._halted = halted
         self._finished = True

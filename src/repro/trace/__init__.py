@@ -3,7 +3,6 @@
 from repro.trace.record import CFRecord, FullRecord
 from repro.trace.batch import (
     NO_TARGET,
-    FullBatch,
     RecordBatch,
     iter_batches,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "CFRecord",
     "FullRecord",
     "NO_TARGET",
-    "FullBatch",
     "RecordBatch",
     "iter_batches",
     "CFTrace",

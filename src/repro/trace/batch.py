@@ -22,12 +22,10 @@ Slicing is **zero-copy**: :meth:`RecordBatch.slice` and
 :meth:`RecordBatch.prefix` return batches whose columns are
 memoryviews into the parent's storage.
 
-:class:`FullBatch` is the analogous columnar form of a full
-per-instruction trace, with fixed-slot effect columns (at most two
-register reads, one register write, one memory access per
-instruction on this ISA); the data-speculation study streams these
-from :class:`repro.cpu.tracer.ChunkedFullTracer` without ever
-materializing :class:`~repro.trace.record.FullRecord` objects.
+The data-speculation study has no columnar form here: it streams
+per-basic-block live-in candidates straight from
+:class:`repro.cpu.tracer.ChunkedFullTracer` (see
+:mod:`repro.cpu.blocks`).
 """
 
 from array import array
@@ -178,60 +176,3 @@ def iter_batches(records, batch_records=DEFAULT_BATCH_RECORDS):
             count = 0
     if count:
         yield RecordBatch(seqs, pcs, kinds, takens, targets)
-
-
-class FullBatch:
-    """A run of full per-instruction records as fixed-slot columns.
-
-    The ISA bounds every instruction's architectural effects: at most
-    two register reads, one register write, one memory read (``ld``)
-    and one memory write (``st``).  One column per slot therefore
-    replaces the nested effect tuples of
-    :class:`~repro.trace.record.FullRecord`:
-
-    ``rr1``/``rv1``, ``rr2``/``rv2``
-        register-read slots (register index / value); ``-1`` marks an
-        empty slot.  Reads of register 0 (the hardwired zero) are not
-        recorded -- no consumer observes them.
-    ``wr``
-        written register index or ``-1``; writes to register 0 are
-        likewise dropped.
-    ``mra``/``mrv``, ``mwa``
-        memory-read address/value and memory-write address; ``None``
-        marks an empty slot (addresses are unbounded Python ints, so
-        the columns are plain lists).
-
-    ``seqs`` is implicit: a full trace covers every instruction, so row
-    ``i`` has sequence number ``start_seq + i``.
-    """
-
-    __slots__ = ("start_seq", "pcs", "kinds", "takens", "targets",
-                 "rr1", "rv1", "rr2", "rv2", "wr", "mra", "mrv", "mwa")
-
-    def __init__(self, start_seq, pcs, kinds, takens, targets,
-                 rr1, rv1, rr2, rv2, wr, mra, mrv, mwa):
-        n = len(pcs)
-        for column in (kinds, takens, targets, rr1, rv1, rr2, rv2, wr,
-                       mra, mrv, mwa):
-            if len(column) != n:
-                raise ValueError("full batch columns disagree on length")
-        self.start_seq = start_seq
-        self.pcs = pcs
-        self.kinds = kinds
-        self.takens = takens
-        self.targets = targets
-        self.rr1 = rr1
-        self.rv1 = rv1
-        self.rr2 = rr2
-        self.rv2 = rv2
-        self.wr = wr
-        self.mra = mra
-        self.mrv = mrv
-        self.mwa = mwa
-
-    def __len__(self):
-        return len(self.pcs)
-
-    def __repr__(self):
-        return ("FullBatch(%d instructions from seq %d)"
-                % (len(self), self.start_seq))

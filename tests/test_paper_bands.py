@@ -2,8 +2,9 @@
 tolerance band of its SPEC95 namesake's Table 1 row, and the headline
 suite results must stay in the paper's bands.
 
-These tests are the contract behind EXPERIMENTS.md: if a workload is
-retuned, they catch shape drift immediately.
+These tests are the contract behind the "Reproduced results" section
+of README.md: if a workload is retuned, they catch shape drift
+immediately.
 """
 
 import pytest
@@ -100,3 +101,48 @@ def test_table2_hit_ratio_band():
     irregular = ("go", "apsi")
     assert min(hit[n] for n in regular) \
         > max(hit[n] for n in irregular) - 0.05
+
+
+# ---------------------------------------------------------------------------
+# Figure 8: data-speculation statistics.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def figure8():
+    """One full-suite figure8 run.  The data-speculation study runs in
+    the pass's ``finish`` over its own full-effects stream and needs no
+    control-flow replay, so the pass is driven directly."""
+    from repro.analysis.base import WorkloadContext
+    from repro.experiments.figure8 import Figure8Analysis
+
+    analysis = Figure8Analysis()
+    for workload in suite():
+        analysis.finish(WorkloadContext(workload.name, 0,
+                                        workload=workload, scale=1))
+    return analysis.result()
+
+
+def test_figure8_most_frequent_path_band(figure8):
+    """The most frequent path covers the majority of all iterations
+    (~85% in the paper)."""
+    assert figure8.extra["suite"].same_path > 0.6
+
+
+def test_figure8_live_in_registers_beat_memory(figure8):
+    suite_stats = figure8.extra["suite"]
+    assert suite_stats.lr_pred > suite_stats.lm_pred
+    assert suite_stats.lr_pred > 0.85
+
+
+def test_figure8_all_correct_ordering(figure8):
+    """all lr >= all lm >= all data, as in the paper."""
+    suite_stats = figure8.extra["suite"]
+    assert suite_stats.all_lr >= suite_stats.all_lm \
+        >= suite_stats.all_data - 1e-12
+
+
+def test_figure8_regular_codes_have_single_path_loops(figure8):
+    per_bench = figure8.extra["per_bench"]
+    assert per_bench["swim"].same_path > 0.9
+    assert per_bench["tomcatv"].same_path > 0.9
+    assert per_bench["go"].same_path < per_bench["swim"].same_path

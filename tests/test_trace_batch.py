@@ -19,11 +19,14 @@ from repro.isa import InstrKind, assemble
 from repro.cpu import trace_control_flow
 from repro.cpu.tracer import ChunkedCFTracer, ChunkedFullTracer, trace_full
 from repro.core.cls import CurrentLoopStack
+from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.detector import LoopDetector
+from repro.search.corpus import frontier_names
 from repro.trace import (
     BatchTraceWriter,
     CFRecord,
     CFTrace,
+    NO_TARGET,
     RecordBatch,
     dump_cf_trace,
     dumps_cf_trace,
@@ -34,6 +37,9 @@ from repro.trace import (
     open_cf_records,
     read_cf_header,
 )
+from repro.workloads import SUITE_ORDER
+
+from test_tracer import looped_programs
 
 BR = int(InstrKind.BRANCH)
 JMP = int(InstrKind.JUMP)
@@ -501,45 +507,117 @@ class TestAnalysisFeedBatch:
             assert per_record.cycles(pos, total - pos) \
                 == batched.cycles(pos, total - pos)
 
-    def test_dataspec_batches_match_full_trace(self):
-        from repro.core.dataspec import DataSpeculationAnalyzer
+
+# ---------------------------------------------------------------------------
+# The data-speculation study: streamed tracer vs the reference analyze().
+# ---------------------------------------------------------------------------
+
+_FULL_CHUNK = ChunkedFullTracer.DEFAULT_CHUNK
+
+#: ``(workload, budget, cls capacity, chunk size, budget ends mid-block)``:
+#: every analog, every frontier case, both CLS capacities and chunk
+#: sizes, and budgets that stop inside a basic block.
+DATASPEC_CASES = (
+    [(name, 30_000, 16, _FULL_CHUNK, False) for name in SUITE_ORDER]
+    + [(name, 30_000, 2, 1, False) for name in frontier_names()]
+    + [("go", 20_011, 2, 1, True), ("compress", 25_013, 16, 7, True),
+       ("li", 9_999, 2, _FULL_CHUNK, True), ("swim", 30_001, 16, 1, True),
+       ("gcc", 12_345, 2, 3, True), ("perl", 7_777, 16, 2, True)])
+
+
+def _assert_dataspec_matches(program, limit, cls_capacity, chunk_size):
+    analyzer = DataSpeculationAnalyzer(cls_capacity=cls_capacity)
+    full = trace_full(program, max_instructions=limit)
+    ref = analyzer.analyze(full, "w")
+    tracer = ChunkedFullTracer(program, limit, chunk_size=chunk_size)
+    got = analyzer.analyze_batches(tracer.batches(), "w")
+    assert got.state() == ref.state()
+    assert tracer.total_instructions == full.total_instructions
+    assert tracer.halted == full.halted
+    return full
+
+
+def _project_blocks(records):
+    """The block stream :class:`ChunkedFullTracer` must emit, projected
+    from :func:`trace_full` records: per basic block, its closing
+    transfer plus the registers it reads before writing (with their
+    last write before the block and entry value) and the loads of
+    addresses it has not stored to (with their last store).  Register 0
+    is never a candidate; a trailing partial block has kind 0."""
+    blocks = []
+    last_write, last_store = {}, {}
+    regs, loads, written, stored = [], [], set(), set()
+    pending = False
+    for rec in records:
+        for reg, value in rec.reg_reads:
+            if reg and reg not in written \
+                    and all(reg != r for r, _, _ in regs):
+                regs.append((reg, last_write.get(reg, -1), value))
+        for addr, value in rec.mem_reads:
+            if addr not in stored:
+                loads.append((rec.pc, addr, value,
+                               last_store.get(addr, -1)))
+        for reg, _ in rec.reg_writes:
+            if reg:
+                written.add(reg)
+                last_write[reg] = rec.seq
+        for addr, _ in rec.mem_writes:
+            stored.add(addr)
+            last_store[addr] = rec.seq
+        pending = not rec.kind
+        if rec.kind:
+            target = NO_TARGET if rec.target is None else rec.target
+            blocks.append((rec.seq, rec.pc, rec.kind, int(rec.taken),
+                           target, tuple(regs), tuple(loads)))
+            regs, loads, written, stored = [], [], set(), set()
+    if pending:
+        blocks.append((rec.seq, rec.pc, 0, 0, NO_TARGET, tuple(regs),
+                       tuple(loads)))
+    return blocks
+
+
+class TestDataSpecBatches:
+    """``analyze_batches`` over :class:`ChunkedFullTracer` must equal
+    the reference ``analyze`` over :func:`trace_full`, counter for
+    counter."""
+
+    @pytest.mark.parametrize(
+        "name,limit,cls_capacity,chunk_size,mid_block", DATASPEC_CASES,
+        ids=["%s-%d-c%d-k%d" % case[:4] for case in DATASPEC_CASES])
+    def test_dataspec_batches_match_full_trace(self, name, limit,
+                                               cls_capacity, chunk_size,
+                                               mid_block):
         from repro.workloads import get
 
-        workload = get("compress")
-        limit = 30_000
-        analyzer = DataSpeculationAnalyzer()
-        ref = analyzer.analyze(
-            workload.full_trace(1, max_instructions=limit), "c")
-        tracer = ChunkedFullTracer(workload.program(1), limit,
-                                   chunk_size=777)
-        got = analyzer.analyze_batches(tracer.batches(), "c")
-        for field in ("total_iterations", "mfp_iterations",
-                      "evaluated_iterations", "lr_total", "lr_correct",
-                      "lm_total", "lm_correct", "lm_addr_total",
-                      "lm_addr_correct", "all_lr_count", "all_lm_count",
-                      "all_data_count"):
-            assert getattr(ref, field) == getattr(got, field), field
+        full = _assert_dataspec_matches(get(name).program(1), limit,
+                                        cls_capacity, chunk_size)
+        if mid_block:
+            assert not full.halted and full.records[-1].kind == 0
 
-    def test_chunked_full_tracer_matches_trace_full(self):
+    @pytest.mark.parametrize("name,limit,chunk_size", [
+        ("li", 20_000, 999), ("go", 20_011, 1), ("fpppp", 30_001, 7),
+        ("compress", 25_013, _FULL_CHUNK)])
+    def test_block_stream_matches_trace_full_projection(self, name, limit,
+                                                        chunk_size):
         from repro.workloads import get
 
-        program = get("li").program(1)
-        limit = 20_000
+        program = get(name).program(1)
         full = trace_full(program, max_instructions=limit)
-        tracer = ChunkedFullTracer(program, limit, chunk_size=999)
-        rows = 0
-        for batch in tracer.batches():
-            for i in range(len(batch)):
-                rec = full.records[batch.start_seq + i]
-                assert (rec.pc, rec.kind, rec.taken) \
-                    == (batch.pcs[i], batch.kinds[i],
-                        bool(batch.takens[i]))
-                tg = batch.targets[i]
-                assert rec.target == (None if tg < 0 else tg)
-                rows += 1
-        assert rows == full.total_instructions
+        tracer = ChunkedFullTracer(program, limit, chunk_size=chunk_size)
+        blocks = []
+        for chunk in tracer.batches():
+            assert 0 < len(chunk) <= chunk_size
+            blocks.extend(block[:5] + (tuple(block[5]), tuple(block[6]))
+                          for block in chunk)
+        assert blocks == _project_blocks(full.records)
         assert tracer.total_instructions == full.total_instructions
-        assert tracer.halted == full.halted
+
+    @settings(max_examples=60, deadline=None)
+    @given(looped_programs(), st.integers(min_value=1, max_value=400),
+           st.sampled_from([2, 16]), st.sampled_from([1, _FULL_CHUNK]))
+    def test_random_programs(self, program, limit, cls_capacity,
+                             chunk_size):
+        _assert_dataspec_matches(program, limit, cls_capacity, chunk_size)
 
 
 # ---------------------------------------------------------------------------
