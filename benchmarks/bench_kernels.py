@@ -1,16 +1,15 @@
-"""Columnar-kernel microbenchmarks and the vectorized hot-path payoff.
+"""Batch-consumer microbenchmarks and the warm/cold headline.
 
-Measures :mod:`repro.trace.kernels` and its batch-native consumers on
-real workload batches, under **both backends** (numpy and stdlib --
-each backend runs in a subprocess, since the choice is made once at
-import), plus the warm/cold ``runner all`` headline numbers.  Written
-to ``BENCH_kernels.json`` at the repository root:
+Measures the batch-native consumers of the record stream on real
+workload batches, plus the warm/cold ``runner all`` headline numbers.
+The column loops are stdlib code inside their consumers (the kernel
+backend is always ``"stdlib"``; results are keyed by it so
+``tools/bench_check.py`` can look them up by a manifest's
+``kernel_backend``).  Written to ``BENCH_kernels.json`` at the
+repository root:
 
-* **Per-kernel microbenchmarks** -- one entry per kernelized hot path:
+* **Per-consumer microbenchmarks**:
 
-  - ``mask_build``: the predictor masks
-    (:func:`~repro.trace.kernels.backward_branch_mask` +
-    :func:`~repro.trace.kernels.taken_mask`);
   - ``cls_batch``: a bare :class:`~repro.core.cls.CurrentLoopStack`
     consuming every batch via ``process_batch`` (the ablation-sweep
     shape);
@@ -22,8 +21,8 @@ to ``BENCH_kernels.json`` at the repository root:
 
 * **Warm/cold `runner all` headline** -- the full ten-experiment
   single-pass suite: cold (fresh trace cache: interpretation + derived
-  population) and warm (trace cache + derived-results cache hot), per
-  backend, compared against the pre-kernel warm baseline recorded in
+  population) and warm (trace cache + derived-results cache hot),
+  compared against the pre-kernel warm baseline recorded in
   ``BENCH_io.json``.
 
 Run::
@@ -38,7 +37,6 @@ import argparse
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
@@ -51,8 +49,6 @@ if SRC_ROOT not in sys.path:
 #: Workloads whose batches the microbenchmarks consume.
 MICRO_WORKLOADS = ("compress", "gcc", "swim")
 MICRO_LIMIT = 400_000
-
-BACKENDS = ("numpy", "stdlib")
 
 
 def best(rounds, fn):
@@ -71,7 +67,7 @@ def _timed(records, seconds):
     }
 
 
-# -- stage: micro (runs inside one backend's subprocess) ---------------------
+# -- micro -------------------------------------------------------------------
 
 def bench_micro(workload_names, limit, rounds):
     from repro.core.branchpred import BimodalPredictor, \
@@ -87,14 +83,6 @@ def bench_micro(workload_names, limit, rounds):
         trace = get(name).cf_trace(1, max_instructions=limit)
         batch_sets.append(list(iter_batches(trace.records)))
     records = sum(len(b) for batches in batch_sets for b in batches)
-
-    def mask_build():
-        start = time.perf_counter()
-        for batches in batch_sets:
-            for b in batches:
-                kernels.backward_branch_mask(b)
-                kernels.taken_mask(b)
-        return time.perf_counter() - start
 
     def cls_batch():
         start = time.perf_counter()
@@ -126,14 +114,13 @@ def bench_micro(workload_names, limit, rounds):
         "workloads": list(workload_names),
         "max_instructions": limit,
         "records": records,
-        "mask_build": _timed(records, best(rounds, mask_build)),
         "cls_batch": _timed(records, best(rounds, cls_batch)),
         "detector_batch": _timed(records, best(rounds, detector_batch)),
         "predictor_batch": _timed(records, best(rounds, predictor_batch)),
     }
 
 
-# -- stage: headline (runs inside one backend's subprocess) ------------------
+# -- headline ----------------------------------------------------------------
 
 def _run_single_pass(cache_dir, workloads, max_instructions):
     """All experiments in one suite: one replay per workload (the shape
@@ -172,29 +159,6 @@ def bench_headline(workloads, max_instructions, rounds):
 
 # -- orchestration -----------------------------------------------------------
 
-def _subprocess_stage(stage, backend, args):
-    """Run one measurement stage in a fresh interpreter pinned to
-    *backend* (the kernel backend is chosen once at import, so each
-    backend needs its own process); returns the parsed JSON result."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_ROOT + os.pathsep \
-        + env.get("PYTHONPATH", "")
-    if backend == "stdlib":
-        env["REPRO_NO_NUMPY"] = "1"
-    else:
-        env.pop("REPRO_NO_NUMPY", None)
-    cmd = [sys.executable, os.path.abspath(__file__),
-           "--stage", stage, "--rounds", str(args.rounds)]
-    if args.workloads:
-        cmd += ["--workloads", args.workloads]
-    if args.max_instructions is not None:
-        cmd += ["--max-instructions", str(args.max_instructions)]
-    cmd += ["--micro-limit", str(args.micro_limit)]
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE,
-                          check=True)
-    return json.loads(proc.stdout.decode("utf-8"))
-
-
 def load_baseline():
     """The pre-kernel warm ``runner all`` wall time from BENCH_io.json
     (full suite, default budgets), if present."""
@@ -209,8 +173,8 @@ def load_baseline():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Benchmark the columnar kernels and the vectorized "
-                    "hot path, under both backends.")
+        description="Benchmark the batch consumers and the warm/cold "
+                    "runner all headline.")
     parser.add_argument("--workloads", default=None, metavar="A,B,...",
                         help="workload subset (default: "
                              "%s for the microbenchmarks, full suite "
@@ -230,46 +194,30 @@ def main(argv=None):
                         default=os.path.join(REPO_ROOT,
                                              "BENCH_kernels.json"),
                         help="result file (default %(default)s)")
-    parser.add_argument("--stage", choices=("micro", "headline"),
-                        default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     workloads = (tuple(args.workloads.split(","))
                  if args.workloads else None)
 
-    if args.stage == "micro":
-        print(json.dumps(bench_micro(workloads or MICRO_WORKLOADS,
-                                     args.micro_limit, args.rounds)))
-        return 0
-    if args.stage == "headline":
-        print(json.dumps(bench_headline(workloads,
-                                        args.max_instructions,
-                                        args.rounds)))
-        return 0
-
-    micro = {backend: _subprocess_stage("micro", backend, args)
-             for backend in BACKENDS}
+    micro = bench_micro(workloads or MICRO_WORKLOADS, args.micro_limit,
+                        args.rounds)
+    backend = micro["backend"]
     results = {
-        "benchmark": "columnar kernels + vectorized hot path",
-        "micro": micro,
+        "benchmark": "batch consumers + warm/cold headline",
+        "micro": {backend: micro},
     }
-    speedups = {}
-    for kernel in ("mask_build", "cls_batch", "detector_batch",
-                   "predictor_batch"):
-        np_s = micro["numpy"][kernel]["seconds"]
-        std_s = micro["stdlib"][kernel]["seconds"]
-        speedups[kernel] = round(std_s / np_s, 2) if np_s else None
-    results["numpy_speedup_vs_stdlib"] = speedups
 
     if not args.skip_headline:
-        headline = {backend: _subprocess_stage("headline", backend, args)
-                    for backend in BACKENDS}
+        entry = bench_headline(workloads, args.max_instructions,
+                               args.rounds)
         baseline = load_baseline() if workloads is None \
             and args.max_instructions is None else None
-        warm = headline["numpy"]["warm_seconds"]
-        headline["baseline_warm_seconds"] = baseline
-        headline["warm_speedup_vs_baseline"] = \
-            round(baseline / warm, 2) if baseline and warm else None
-        results["headline_runner_all"] = headline
+        warm = entry["warm_seconds"]
+        results["headline_runner_all"] = {
+            backend: entry,
+            "baseline_warm_seconds": baseline,
+            "warm_speedup_vs_baseline":
+                round(baseline / warm, 2) if baseline and warm else None,
+        }
 
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=2)

@@ -16,7 +16,6 @@ the claim directly.
 """
 
 from repro.isa.instructions import InstrKind
-from repro.trace import kernels
 
 _K_BRANCH = int(InstrKind.BRANCH)
 
@@ -165,10 +164,7 @@ class BranchPredictionStream:
         columnar form of :meth:`feed` (a ``target`` of ``-1`` encodes
         ``None``)."""
         if self._fused_pair:
-            pcs, takens = kernels.branch_columns(batch)
-            if pcs:
-                self._feed_branches_fused(pcs, takens)
-                self._closing |= kernels.closing_branch_pcs(batch)
+            self._feed_branches_fused(batch)
             return
         k_branch = _K_BRANCH
         per_pc = self._per_pc
@@ -190,13 +186,13 @@ class BranchPredictionStream:
             if taken and 0 <= target <= pc:
                 closing.add(pc)
 
-    def _feed_branches_fused(self, pcs, takens):
-        """Fused bimodal+gshare accounting over branch-only columns.
+    def _feed_branches_fused(self, batch):
+        """Fused bimodal+gshare accounting in one pass over *batch*.
 
         Exactly the per-record sequence of :meth:`feed` -- bimodal
-        predict/update, then gshare predict/update -- with both
-        predictors' tables and the gshare history held in locals for
-        the whole batch.
+        predict/update, then gshare predict/update, then the closing
+        check -- with both predictors' tables and the gshare history
+        held in locals for the whole batch.
         """
         bimodal, gshare = self.predictors
         bcounters = bimodal.counters
@@ -206,7 +202,12 @@ class BranchPredictionStream:
         hmask = gshare.history_mask
         history = gshare.history
         per_pc = self._per_pc
-        for pc, taken in zip(pcs, takens):
+        closing = self._closing
+        k_branch = _K_BRANCH
+        for pc, kind, taken, target in zip(batch.pcs, batch.kinds,
+                                           batch.takens, batch.targets):
+            if kind != k_branch:
+                continue
             tallies = per_pc.get(pc)
             if tallies is None:
                 tallies = per_pc[pc] = [0, 0, 0]
@@ -225,6 +226,8 @@ class BranchPredictionStream:
                 if counter < 3:
                     gcounters[index] = counter + 1
                 history = ((history << 1) | 1) & hmask
+                if 0 <= target <= pc:
+                    closing.add(pc)
             else:
                 if counter < 2:
                     tallies[1] += 1

@@ -127,12 +127,12 @@ class CurrentLoopStack:
         (pinned by tests): one fused scalar loop reads the columns
         directly and skips the common no-event cases -- calls, forward
         or missing targets with nothing stacked -- without touching
-        the per-rule methods.  The CLS is deliberately *not* kernel-
-        driven on any backend: its stack state makes per-record
-        verdicts sequential, and a vectorized candidate walk measured
-        slower than this loop (see the note in
-        :mod:`repro.trace.kernels`).  A ``target`` of ``-1`` encodes
-        ``None``.
+        the per-rule methods.  The loop is deliberately scalar: the
+        stack state makes per-record verdicts sequential, and a
+        vectorized candidate walk measured ~3x slower than this loop
+        (only ~10% of transfers are skippable, and exit-rule verdicts
+        go stale on every push, pop and B update).  A ``target`` of
+        ``-1`` encodes ``None``.
         """
         if events is None:
             events = []

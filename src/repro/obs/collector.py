@@ -21,7 +21,7 @@ Event kinds:
   (``obs.add("replay.records", 4096)``); floats are fine (the analysis
   suite accumulates per-pass feed seconds here).
 * **gauges** -- last-write-wins scalars (``obs.gauge(
-  "kernels.backend", "numpy")``).
+  "kernels.backend", "stdlib")``).
 * **points** -- timestamped samples for trajectories
   (``obs.point("search.score", 0.41, candidate=name)``).
 

@@ -22,7 +22,6 @@ from bisect import bisect_left
 from repro.isa.instructions import InstrKind
 from repro.timing.base import TimingModel
 from repro.timing.registry import register_timing
-from repro.trace import kernels
 
 
 class IdealTiming(TimingModel):
@@ -167,15 +166,20 @@ class ClassCostTiming(TimingModel):
             self._extra.append(self._total_extra)
 
     def feed_batch(self, batch):
-        # Columnar fast path: only the seq and kind columns matter, and
-        # the kernel turns them into the prefix-sum increments in bulk
-        # (a table gather + cumsum under numpy).
-        seqs, extras, total = kernels.classcost_extras(
-            batch, self._costs, self.other, self._total_extra)
-        if seqs:
-            self._seqs.extend(seqs)
-            self._extra.extend(extras)
-            self._total_extra = total
+        # Columnar form of feed_record: only the seq and kind columns
+        # matter, with the running total and the prefix arrays in locals.
+        costs = self._costs
+        other = self.other
+        total = self._total_extra
+        seqs = self._seqs
+        extra = self._extra
+        for seq, kind in zip(batch.seqs, batch.kinds):
+            delta = costs[kind] - other
+            if delta:
+                total += delta
+                seqs.append(seq)
+                extra.append(total)
+        self._total_extra = total
 
     def _cost_to(self, pos):
         """Cycles to execute stream positions ``[0, pos)``."""

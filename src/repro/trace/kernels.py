@@ -1,263 +1,16 @@
-"""Bulk columnar kernels over :class:`~repro.trace.batch.RecordBatch`
-columns.
+"""The kernel backend tag.
 
-The state-free hot consumers of the record stream -- the branch
-predictors and the ``classcost`` timing model -- need the same handful
-of elementwise column operations: "which records are backward taken
-transfers", "which records are conditional branches", "what does each
-instruction class cost".  This module is that inventory, computed once
-per batch in bulk instead of once per record in the consumer's inner
-loop.  (Stateful consumers -- the CLS and the loop detector it drives
--- use fused scalar loops over the same columns instead; see the note
-below.)
+Stateless column loops over :class:`~repro.trace.batch.RecordBatch`
+columns live in their single consumers -- the fused bimodal+gshare
+loop in :class:`~repro.core.branchpred.BranchPredictionStream` and the
+prefix-sum loop in :class:`~repro.timing.models.ClassCostTiming`.
+There is one implementation, in the standard library.
 
-Two backends produce bit-identical results:
-
-* **numpy**, when importable (``pip install .[fast]``): columns are
-  wrapped zero-copy with :func:`numpy.frombuffer` and the masks are a
-  few vector ops per batch;
-* **stdlib**, otherwise: plain ``array``/``bytes`` loops.  Slower, but
-  the full analysis pipeline stays correct without any third-party
-  dependency -- the equivalence tests run both backends against each
-  other.
-
-Capability detection is *eager*: numpy is probed once at import with
-the exact operations the kernels rely on, and the choice is exposed as
-:data:`HAVE_NUMPY` / :func:`backend`.  Setting the environment
-variable ``REPRO_NO_NUMPY`` (to any non-empty value) forces the stdlib
-backend -- that is how CI runs the no-numpy leg of the matrix on an
-image that has numpy installed.
-
-Consumers with a tuned scalar loop of their own check
-:data:`HAVE_NUMPY` and only take the kernel-driven path when the
-vector backend is live; a kernel call in stdlib mode is correct but
-adds a pass over the batch that a fused scalar loop avoids.
+:func:`backend` names it for run manifests (``meta.kernel_backend``)
+and the ``kernels.backend`` gauge.
 """
-
-import os
-from array import array
-
-from repro.isa.instructions import InstrKind
-from repro.obs import collector as _obs
-
-_K_BRANCH = int(InstrKind.BRANCH)
-_K_JUMP = int(InstrKind.JUMP)
-_K_IJUMP = int(InstrKind.IJUMP)
-_K_RET = int(InstrKind.RET)
-
-
-def _detect_numpy():
-    """Import numpy and probe the operations the kernels depend on."""
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    try:
-        probe = numpy.frombuffer(array("q", [3, 1, 2]),
-                                 dtype=numpy.int64)
-        small = numpy.frombuffer(array("b", [0, 1, 1]),
-                                 dtype=numpy.int8)
-        mask = (probe <= 2) & (small != 0)
-        if numpy.flatnonzero(mask).tolist() != [1, 2]:
-            return None
-        if numpy.cumsum(probe).tolist() != [3, 4, 6]:
-            return None
-    except Exception:
-        return None
-    return numpy
-
-
-_np = _detect_numpy()
-
-#: True when the numpy backend is live for this process.
-HAVE_NUMPY = _np is not None
 
 
 def backend():
-    """``"numpy"`` or ``"stdlib"`` -- whichever is active."""
-    return "numpy" if HAVE_NUMPY else "stdlib"
-
-
-def _count(name):
-    """Per-kernel invocation counter (``kernel.<fn>``), a no-op unless
-    an obs collector is active.  Kernels run once per batch, not per
-    record, so the disabled check is far off the per-record path."""
-    collector = _obs.active()
-    if collector is not None:
-        collector.add("kernel." + name)
-
-
-# -- column views ------------------------------------------------------------
-
-def _i64(column):
-    """Zero-copy numpy view of a signed-64-bit column (numpy only)."""
-    return _np.frombuffer(column, dtype=_np.int64)
-
-
-def _i8(column):
-    """Zero-copy numpy view of a signed-byte column (numpy only)."""
-    return _np.frombuffer(column, dtype=_np.int8)
-
-
-# There is deliberately no CLS-walk kernel here.  The CurrentLoopStack
-# is a stateful stack machine: every record's effect depends on the
-# stack the previous record left behind, so a vectorized candidate
-# walk ends up re-deriving per-record verdicts against ever-changing
-# stack bounds -- measured ~3x slower than the fused scalar column
-# loop in CurrentLoopStack.process_batch on real traces (only ~10% of
-# control transfers are skippable, and exit-rule verdict vectors go
-# stale on every push/pop/B-update).  Kernels belong here only for
-# state-free bulk work: masks, gathers, run-length summaries, cost
-# columns.
-
-
-# -- branch predictor columns ------------------------------------------------
-
-def backward_branch_mask(batch):
-    """``bytes`` mask: 1 where the record is a conditional branch with
-    a backward (or self) target, taken or not."""
-    _count("backward_branch_mask")
-    n = len(batch)
-    if n == 0:
-        return b""
-    if HAVE_NUMPY:
-        targets = _i64(batch.targets)
-        mask = ((_i8(batch.kinds) == _K_BRANCH) & (targets >= 0)
-                & (targets <= _i64(batch.pcs)))
-        return mask.astype(_np.uint8).tobytes()
-    out = bytearray(n)
-    k_branch = _K_BRANCH
-    i = 0
-    for pc, kind, target in zip(batch.pcs, batch.kinds, batch.targets):
-        if kind == k_branch and 0 <= target <= pc:
-            out[i] = 1
-        i += 1
-    return bytes(out)
-
-
-def taken_mask(batch):
-    """``bytes`` mask: 1 where the record committed taken."""
-    _count("taken_mask")
-    n = len(batch)
-    if n == 0:
-        return b""
-    if HAVE_NUMPY:
-        return (_i8(batch.takens) != 0).astype(_np.uint8).tobytes()
-    return bytes(bytearray(1 if taken else 0 for taken in batch.takens))
-
-
-def branch_columns(batch):
-    """``(pcs, takens)`` of the conditional-branch records only, as
-    plain lists of Python ints (``takens`` is 0/1), in stream order."""
-    _count("branch_columns")
-    n = len(batch)
-    if n == 0:
-        return [], []
-    if HAVE_NUMPY:
-        idx = _np.flatnonzero(_i8(batch.kinds) == _K_BRANCH)
-        if not idx.size:
-            return [], []
-        return (_i64(batch.pcs)[idx].tolist(),
-                _i8(batch.takens)[idx].tolist())
-    pcs = []
-    takens = []
-    k_branch = _K_BRANCH
-    for pc, kind, taken in zip(batch.pcs, batch.kinds, batch.takens):
-        if kind == k_branch:
-            pcs.append(pc)
-            takens.append(1 if taken else 0)
-    return pcs, takens
-
-
-def closing_branch_pcs(batch):
-    """The set of pcs observed as *taken backward* conditional branches
-    in this batch (the loop-closing candidates of the branch-prediction
-    baseline)."""
-    _count("closing_branch_pcs")
-    n = len(batch)
-    if n == 0:
-        return set()
-    if HAVE_NUMPY:
-        targets = _i64(batch.targets)
-        pcs = _i64(batch.pcs)
-        mask = ((_i8(batch.kinds) == _K_BRANCH)
-                & (_i8(batch.takens) != 0)
-                & (targets >= 0) & (targets <= pcs))
-        return set(pcs[mask].tolist())
-    out = set()
-    k_branch = _K_BRANCH
-    for pc, kind, taken, target in zip(batch.pcs, batch.kinds,
-                                       batch.takens, batch.targets):
-        if kind == k_branch and taken and 0 <= target <= pc:
-            out.add(pc)
-    return out
-
-
-# -- classcost prefix sums ---------------------------------------------------
-
-def classcost_extras(batch, cost_by_kind, other, total):
-    """The ``classcost`` prefix-sum increments for one batch.
-
-    *cost_by_kind* maps instruction-class ints to cycle costs; *other*
-    is the straight-line rate; *total* the running extra-cost total.
-    Returns ``(seqs, extras, new_total)`` -- the seq column values of
-    the records whose class costs differ from *other* and the running
-    cumulative extra cost after each, ready to extend the model's
-    prefix arrays.
-    """
-    _count("classcost_extras")
-    n = len(batch)
-    if n == 0:
-        return [], [], total
-    if HAVE_NUMPY:
-        table = _np.zeros(max(cost_by_kind) + 1, dtype=_np.int64)
-        for kind, cost in cost_by_kind.items():
-            table[kind] = cost
-        deltas = table[_i8(batch.kinds)] - other
-        idx = _np.flatnonzero(deltas)
-        if not idx.size:
-            return [], [], total
-        extras = _np.cumsum(deltas[idx]) + total
-        return (_i64(batch.seqs)[idx].tolist(), extras.tolist(),
-                int(extras[-1]))
-    seqs = []
-    extras = []
-    for seq, kind in zip(batch.seqs, batch.kinds):
-        delta = cost_by_kind[kind] - other
-        if delta:
-            total += delta
-            seqs.append(seq)
-            extras.append(total)
-    return seqs, extras, total
-
-
-# -- per-pc run-length grouping ----------------------------------------------
-
-def per_pc_runs(pcs, values):
-    """Group parallel ``(pc, value)`` sequences into per-pc run-length
-    lists: ``{pc: [(value, run_length), ...]}`` in first-seen pc order,
-    runs in occurrence order.
-
-    The run-length view of a pc's taken history is what makes saturating
-    per-pc predictors (bimodal) O(#runs) instead of O(#occurrences); it
-    is also a compact per-branch behaviour summary for characterization.
-    """
-    _count("per_pc_runs")
-    out = {}
-    if HAVE_NUMPY and not isinstance(pcs, list):
-        pcs = pcs.tolist() if hasattr(pcs, "tolist") else list(pcs)
-        values = values.tolist() if hasattr(values, "tolist") \
-            else list(values)
-    for pc, value in zip(pcs, values):
-        runs = out.get(pc)
-        if runs is None:
-            out[pc] = [(value, 1)]
-        else:
-            last_value, count = runs[-1]
-            if last_value == value:
-                runs[-1] = (value, count + 1)
-            else:
-                runs.append((value, 1))
-    return out
+    """The kernel implementation in use: always ``"stdlib"``."""
+    return "stdlib"

@@ -1,6 +1,6 @@
 """Kernel-layer tests.
 
-Backend equivalence (numpy vs stdlib) for every bulk column kernel,
+The single stdlib kernel implementation (numpy is never imported),
 batch fast-path boundary cases (empty/single-record batches, loop
 boundaries mid-batch, loops spanning chunk seams), the derived-results
 store, result-state round trips, idempotent table replay, the mmap'd
@@ -10,10 +10,13 @@ workers.
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
-from repro.isa import InstrKind, assemble
+from repro.isa import assemble
 from repro.cpu import trace_control_flow
 from repro.core.branchpred import BimodalPredictor, \
     BranchPredictionStream, GSharePredictor
@@ -22,9 +25,6 @@ from repro.core.detector import LoopDetector
 from repro.core.tables import TableHitRatioSimulator
 from repro.trace import RecordBatch, dump_cf_trace, dumps_cf_trace, \
     iter_batches, kernels, loads_cf_trace, open_cf_batches
-from repro.workloads import get
-
-BR = int(InstrKind.BRANCH)
 
 LOOP_SRC = """
 main:
@@ -47,16 +47,6 @@ def loop_trace():
     return trace_control_flow(assemble(LOOP_SRC))
 
 
-@pytest.fixture()
-def batches():
-    """Real-workload batches plus hand-built edge cases."""
-    trace = get("go").cf_trace(1, max_instructions=30_000)
-    out = list(iter_batches(trace.records, 512))
-    out.append(RecordBatch.empty())
-    out.append(RecordBatch.from_records(trace.records[:1]))
-    return out
-
-
 def event_reprs(events):
     return [repr(e) for e in events]
 
@@ -68,66 +58,42 @@ def index_shape(index):
 
 
 # ---------------------------------------------------------------------------
-# Backend equivalence: every kernel, numpy vs stdlib.
+# One stdlib kernel implementation.
 # ---------------------------------------------------------------------------
 
-needs_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY,
-    reason="numpy backend not available in this process")
+NUMPY_PROBE = textwrap.dedent("""
+    import sys
+    from repro.experiments.runner import main
+    from repro.timing import make_timing
+    from repro.trace import iter_batches
+    from repro.workloads import get
+
+    assert main(["table1", "baselines", "--workloads", "swim",
+                 "--no-cache"]) == 0
+    timing = make_timing("classcost:branch=3,other=2")
+    trace = get("swim").cf_trace(1, max_instructions=20_000)
+    for batch in iter_batches(trace.records):
+        timing.feed_batch(batch)
+    print("numpy imported: %s" % ("numpy" in sys.modules))
+""")
 
 
-def both_backends(monkeypatch, fn):
-    """``(numpy_result, stdlib_result)`` of the thunk *fn*."""
-    fast = fn()
-    monkeypatch.setattr(kernels, "HAVE_NUMPY", False)
-    slow = fn()
-    monkeypatch.undo()
-    return fast, slow
+class TestStdlibKernels:
+    def test_backend_is_stdlib(self):
+        assert kernels.backend() == "stdlib"
 
-
-@needs_numpy
-class TestBackendEquivalence:
-    def test_predictor_masks(self, monkeypatch, batches):
-        for batch in batches:
-            fast, slow = both_backends(
-                monkeypatch,
-                lambda b=batch: (kernels.backward_branch_mask(b),
-                                 kernels.taken_mask(b),
-                                 kernels.branch_columns(b),
-                                 kernels.closing_branch_pcs(b)))
-            assert fast == slow
-
-    def test_classcost_extras(self, monkeypatch, batches):
-        costs = {int(k): 2 for k in InstrKind}
-        costs[BR] = 5
-        costs[int(InstrKind.RET)] = 7
-        total = 0
-        for batch in batches:
-            fast, slow = both_backends(
-                monkeypatch, lambda b=batch, t=total:
-                kernels.classcost_extras(b, costs, 2, t))
-            assert (list(fast[0]), list(fast[1]), fast[2]) \
-                == (list(slow[0]), list(slow[1]), slow[2])
-            total = fast[2]
-
-    def test_per_pc_runs(self, monkeypatch, batches):
-        for batch in batches:
-            def run(b=batch):
-                pcs, takens = kernels.branch_columns(b)
-                return kernels.per_pc_runs(pcs, takens)
-            fast, slow = both_backends(monkeypatch, run)
-            assert fast == slow
-
-    def test_detector_equivalence_across_backends(self, monkeypatch):
-        trace = get("compress").cf_trace(1, max_instructions=30_000)
-
-        def run():
-            d = LoopDetector()
-            index = d.run_batches(iter_batches(trace.records, 512),
-                                  trace.total_instructions)
-            return event_reprs(d.events), index_shape(index)
-        fast, slow = both_backends(monkeypatch, run)
-        assert fast == slow
+    def test_numpy_is_never_imported(self):
+        """The branch-prediction baselines and a ``classcost`` feed --
+        the consumers of the column loops -- run without numpy."""
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", NUMPY_PROBE], capture_output=True,
+            text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "numpy imported: False"
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +113,6 @@ class TestBatchBoundaries:
         stream.feed_batch(empty)
         assert all(r.closing_total == 0 and r.other_total == 0
                    for r in stream.reports("w"))
-        assert kernels.backward_branch_mask(empty) == b""
-        assert kernels.taken_mask(empty) == b""
 
     def test_single_record_batches_match_one_batch(self, loop_trace):
         one = LoopDetector()
@@ -391,54 +355,3 @@ class TestSharedMemoryPayload:
         from multiprocessing import shared_memory
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=payload.segment)
-
-
-# ---------------------------------------------------------------------------
-# Backend equivalence over the committed frontier corpus.
-# ---------------------------------------------------------------------------
-
-@needs_numpy
-class TestFrontierBackendEquivalence:
-    """The frontier corpus sits where the paper's claims are weakest,
-    which makes it the sharpest probe of numpy-vs-stdlib drift: a
-    kernel whose backends disagree by one branch outcome flips a
-    pinned inversion or coverage threshold.  Every committed case is
-    evaluated end to end (trace, detect, simulate) under both
-    backends; the rendered metrics must be byte-identical."""
-
-    def _cases(self):
-        from repro.search.corpus import frontier_names, load_case
-        names = frontier_names()
-        assert names, "frontier corpus missing"
-        return [load_case(name) for name in names]
-
-    def test_full_evaluation_is_byte_identical(self, monkeypatch):
-        from repro.search.evaluate import evaluate_candidate
-
-        for case in self._cases():
-            def run(c=case):
-                outcome = evaluate_candidate(c.profile, c.gen_seed,
-                                             c.settings, store=None,
-                                             cache_dir=None)
-                assert outcome.error is None
-                return json.dumps(outcome.metrics.to_dict(),
-                                  sort_keys=True)
-            fast, slow = both_backends(monkeypatch, run)
-            assert fast == slow, "%s drifted across backends" \
-                % case.name
-
-    def test_detector_events_match_on_frontier_traces(self,
-                                                      monkeypatch):
-        # The coverage-collapse cases stress the detector hardest.
-        case = [c for c in self._cases()
-                if c.objective == "coverage-collapse"][0]
-        workload = get(case.name)
-        trace = workload.cf_trace()
-
-        def run():
-            d = LoopDetector()
-            index = d.run_batches(iter_batches(trace.records, 512),
-                                  trace.total_instructions)
-            return event_reprs(d.events), index_shape(index)
-        fast, slow = both_backends(monkeypatch, run)
-        assert fast == slow

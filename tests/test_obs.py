@@ -39,8 +39,6 @@ from repro.obs import (
 from repro.obs import collector as obs
 from repro.obs.manifest import LAST_RUN_MANIFEST
 from repro.pipeline import SimulationSession
-from repro.trace import iter_batches, kernels
-from repro.workloads import get
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools")
@@ -200,7 +198,7 @@ def make_manifest():
         with collector.span("replay", workload="go"):
             pass
     collector.add("replay.records", 123)
-    collector.gauge("kernels.backend", "numpy")
+    collector.gauge("kernels.backend", "stdlib")
     collector.point("search.score", 0.5, candidate="x")
     return build_manifest(collector, argv=["runner", "all"],
                           command="run", extra={"note": "test"})
@@ -215,7 +213,7 @@ class TestManifest:
         assert events_path(path) == written[1]
         loaded = load_manifest(path)
         assert loaded["counters"] == {"replay.records": 123}
-        assert loaded["gauges"] == {"kernels.backend": "numpy"}
+        assert loaded["gauges"] == {"kernels.backend": "stdlib"}
         assert loaded["meta"]["argv"] == ["runner", "all"]
         assert loaded["meta"]["note"] == "test"
         assert loaded["kind"] == "repro-run-manifest"
@@ -380,20 +378,6 @@ class TestPipelineInstrumentation:
         # Cacheless pool results ship via shared memory.
         assert first.counters.get("shm.bytes", 0) > 0
 
-    def test_kernel_counters_gated_on_collector(self):
-        trace = get("swim").cf_trace(1, max_instructions=5000)
-        batch = next(iter_batches(trace.records))
-        kernels.taken_mask(batch)       # no collector: no error
-        collector = obs.activate(Collector())
-        try:
-            kernels.taken_mask(batch)
-            kernels.backward_branch_mask(batch)
-            kernels.taken_mask(batch)
-        finally:
-            obs.deactivate()
-        assert collector.counters["kernel.taken_mask"] == 2
-        assert collector.counters["kernel.backward_branch_mask"] == 1
-
     def test_suite_untimed_without_collector(self):
         from repro.experiments.runner import build_suite
         suite, _ = build_suite(["table1"])
@@ -443,8 +427,7 @@ class TestRunnerMetricsCLI:
         assert counters["pipeline.traced"] == 1     # cold run traced
         assert counters["replay.records"] > 0
         assert counters["cache.bytes_written"] > 0
-        assert manifest["gauges"]["kernels.backend"] in ("numpy",
-                                                         "stdlib")
+        assert manifest["gauges"]["kernels.backend"] == "stdlib"
         assert manifest["span_coverage"] >= 0.9
         paths = [s["path"] for s in manifest["stages"]]
         assert "setup" in paths and "analyze" in paths
@@ -611,7 +594,7 @@ class TestObsReport:
         out = capsys.readouterr().out
         assert "timeline: " in out
         assert "replay.records" in out
-        assert "kernels.backend = numpy" in out
+        assert "kernels.backend = stdlib" in out
         assert "search.score: 1 sample(s)" in out
 
     def test_diff(self, tmp_path, capsys):
@@ -638,11 +621,14 @@ class TestObsReport:
 
 class TestBenchCheck:
     def _manifest(self, tmp_path, wall, coverage=0.99,
-                  backend="numpy"):
+                  backend="stdlib"):
         manifest = make_manifest()
         manifest["wall_seconds"] = wall
         manifest["span_coverage"] = coverage
-        manifest["meta"]["kernel_backend"] = backend
+        if backend is None:
+            del manifest["meta"]["kernel_backend"]
+        else:
+            manifest["meta"]["kernel_backend"] = backend
         path = str(tmp_path / "run.json")
         write_manifest(manifest, path, events=False)
         return path
@@ -651,7 +637,6 @@ class TestBenchCheck:
         path = str(tmp_path / "bench.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"headline_runner_all": {
-                "numpy": {"warm_seconds": warm},
                 "stdlib": {"warm_seconds": warm}}}, fh)
         return path
 
@@ -662,6 +647,16 @@ class TestBenchCheck:
                           "--baseline", self._baseline(tmp_path)])
         assert code == 0
         assert "bench check passed" in capsys.readouterr().out
+
+    def test_manifest_without_backend_reads_as_stdlib(self, tmp_path,
+                                                      capsys):
+        tool = load_tool("bench_check.py")
+        code = tool.main(["--manifest",
+                          self._manifest(tmp_path, wall=0.5,
+                                         backend=None),
+                          "--baseline", self._baseline(tmp_path)])
+        assert code == 0
+        assert "committed stdlib warm" in capsys.readouterr().out
 
     def test_wall_regression_fails(self, tmp_path, capsys):
         tool = load_tool("bench_check.py")
@@ -711,7 +706,7 @@ class TestBenchCheck:
     def test_real_default_baseline_parses(self, tmp_path):
         tool = load_tool("bench_check.py")
         headline = tool.load_baseline(tool.DEFAULT_BASELINE)
-        assert "numpy" in headline and "stdlib" in headline
+        assert "stdlib" in headline and "numpy" not in headline
 
 
 # ---------------------------------------------------------------------------

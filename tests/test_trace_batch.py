@@ -8,6 +8,7 @@ detector, the analysis feed protocol, timing models, branch
 prediction, and the data-speculation study.
 """
 
+import functools
 import io
 import os
 import struct
@@ -18,10 +19,13 @@ from hypothesis import given, settings, strategies as st
 from repro.isa import InstrKind, assemble
 from repro.cpu import trace_control_flow
 from repro.cpu.tracer import ChunkedCFTracer, ChunkedFullTracer, trace_full
+from repro.core.branchpred import BimodalPredictor, \
+    BranchPredictionStream, GSharePredictor
 from repro.core.cls import CurrentLoopStack
 from repro.core.dataspec import DataSpeculationAnalyzer
 from repro.core.detector import LoopDetector
 from repro.search.corpus import frontier_names
+from repro.timing import make_timing
 from repro.trace import (
     BatchTraceWriter,
     CFRecord,
@@ -420,6 +424,88 @@ class TestDetectorBatchEquivalence:
 # Batch-vs-record equivalence: the analysis feed protocol.
 # ---------------------------------------------------------------------------
 
+#: Batch sizes for the batch-vs-record consumer equivalence: one record
+#: per batch, a size that splits loops mid-body, and a typical chunk.
+FEED_BATCH_SIZES = (1, 5, 512)
+
+#: Every analog and every frontier case, at every batch size.
+FEED_CASES = [(name, size) for name in list(SUITE_ORDER) + frontier_names()
+              for size in FEED_BATCH_SIZES]
+
+#: Hand-built streams for the corners of the closing-branch rule (taken,
+#: conditional, ``0 <= target <= pc``).  Every stream is also fed an
+#: empty batch before and after its records.
+EDGE_STREAMS = {
+    "empty": [],
+    "self-loop": [CFRecord(0, 4, BR, True, 4), CFRecord(1, 4, BR, True, 4),
+                  CFRecord(2, 4, BR, False, 4)],
+    "no-target": [CFRecord(3, 9, BR, True, None),
+                  CFRecord(5, 9, BR, False, None),
+                  CFRecord(6, 12, HALT, False, None)],
+    "not-taken-backward": [CFRecord(0, 10, BR, False, 2),
+                           CFRecord(4, 10, BR, False, 2),
+                           CFRecord(6, 12, BR, True, 20)],
+    "mixed-kinds": [CFRecord(0, 7, JMP, True, 1),
+                    CFRecord(2, 8, CALL, True, 30),
+                    CFRecord(3, 31, RET, True, 9),
+                    CFRecord(5, 11, BR, True, 0),
+                    CFRecord(8, 11, BR, True, 0),
+                    CFRecord(9, 11, BR, False, 0),
+                    CFRecord(10, 13, BR, True, 20),
+                    CFRecord(12, 14, HALT, False, None)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _bounded_trace(name):
+    from repro.workloads import get
+    return get(name).cf_trace(1, max_instructions=30_000)
+
+
+def _feed_batches(consumer, records, size):
+    consumer.feed_batch(RecordBatch.empty())
+    for batch in iter_batches(records, size):
+        consumer.feed_batch(batch)
+    consumer.feed_batch(RecordBatch.empty())
+
+
+def _assert_branch_prediction_matches(records, size):
+    """The bimodal+gshare stream fed *records* one at a time and in
+    batches of *size* ends with identical reports and predictor state."""
+    per_record = BranchPredictionStream(
+        [BimodalPredictor(), GSharePredictor()])
+    for rec in records:
+        per_record.feed(rec)
+    batched = BranchPredictionStream(
+        [BimodalPredictor(), GSharePredictor()])
+    _feed_batches(batched, records, size)
+    for a, b in zip(per_record.reports("w"), batched.reports("w")):
+        assert (a.closing_correct, a.closing_total, a.other_correct,
+                a.other_total) \
+            == (b.closing_correct, b.closing_total, b.other_correct,
+                b.other_total)
+    for a, b in zip(per_record.predictors, batched.predictors):
+        assert a.counters == b.counters
+    assert per_record.predictors[1].history \
+        == batched.predictors[1].history
+
+
+def _assert_classcost_matches(records, total, size):
+    """A ``classcost`` model fed *records* one at a time and in batches
+    of *size* prices every window of the stream identically."""
+    spec = "classcost:branch=3,jump=2,call=5,ret=4,halt=1,other=2"
+    per_record = make_timing(spec)
+    for rec in records:
+        per_record.feed_record(rec)
+    batched = make_timing(spec)
+    _feed_batches(batched, records, size)
+    for pos in range(0, total, 7):
+        assert per_record.cycles(pos, total - pos) \
+            == batched.cycles(pos, total - pos)
+        assert per_record.progress(pos, 0, total) \
+            == batched.progress(pos, 0, total)
+
+
 class TestAnalysisFeedBatch:
     def test_default_feed_batch_falls_back_to_feed_record(self,
                                                           loop_trace):
@@ -473,39 +559,52 @@ class TestAnalysisFeedBatch:
         assert sum(n for _, n in calls) == len(loop_trace.records)
 
     def test_branch_prediction_stream_equivalence(self, loop_trace):
-        from repro.core.branchpred import (
-            BimodalPredictor,
-            BranchPredictionStream,
-            GSharePredictor,
-        )
-
-        per_record = BranchPredictionStream(
-            [BimodalPredictor(), GSharePredictor()])
-        for rec in loop_trace.records:
-            per_record.feed(rec)
-        batched = BranchPredictionStream(
-            [BimodalPredictor(), GSharePredictor()])
-        for batch in iter_batches(loop_trace.records, 5):
-            batched.feed_batch(batch)
-        for a, b in zip(per_record.reports("w"), batched.reports("w")):
-            assert (a.closing_correct, a.closing_total, a.other_correct,
-                    a.other_total) \
-                == (b.closing_correct, b.closing_total, b.other_correct,
-                    b.other_total)
+        _assert_branch_prediction_matches(loop_trace.records, 5)
 
     def test_classcost_timing_equivalence(self, loop_trace):
-        from repro.timing import make_timing
+        _assert_classcost_matches(loop_trace.records,
+                                  loop_trace.total_instructions, 5)
 
-        per_record = make_timing("classcost:branch=3,other=2")
-        for rec in loop_trace.records:
-            per_record.feed_record(rec)
-        batched = make_timing("classcost:branch=3,other=2")
-        for batch in iter_batches(loop_trace.records, 5):
-            batched.feed_batch(batch)
-        total = loop_trace.total_instructions
-        for pos in range(0, total, 7):
-            assert per_record.cycles(pos, total - pos) \
-                == batched.cycles(pos, total - pos)
+    @pytest.mark.parametrize("name,size", FEED_CASES,
+                             ids=["%s-b%d" % case for case in FEED_CASES])
+    def test_branch_prediction_stream_on_workload(self, name, size):
+        trace = _bounded_trace(name)
+        _assert_branch_prediction_matches(trace.records, size)
+
+    @pytest.mark.parametrize("name,size", FEED_CASES,
+                             ids=["%s-b%d" % case for case in FEED_CASES])
+    def test_classcost_timing_on_workload(self, name, size):
+        trace = _bounded_trace(name)
+        _assert_classcost_matches(trace.records,
+                                  trace.total_instructions, size)
+
+    @pytest.mark.parametrize("stream", sorted(EDGE_STREAMS))
+    @pytest.mark.parametrize("size", FEED_BATCH_SIZES)
+    def test_branch_prediction_stream_edge_cases(self, stream, size):
+        _assert_branch_prediction_matches(EDGE_STREAMS[stream], size)
+
+    @pytest.mark.parametrize("stream", sorted(EDGE_STREAMS))
+    @pytest.mark.parametrize("size", FEED_BATCH_SIZES)
+    def test_classcost_timing_edge_cases(self, stream, size):
+        records = EDGE_STREAMS[stream]
+        total = records[-1].seq + 3 if records else 0
+        _assert_classcost_matches(records, total, size)
+
+    def test_edge_case_closing_rule(self):
+        """The closing set of the hand-built streams: a taken self-loop
+        closes, a ``None`` target and a never-taken backward branch do
+        not, and non-branch transfers are not predicted at all."""
+        expected = {"empty": (0, 0), "mixed-kinds": (3, 1),
+                    "no-target": (0, 2), "not-taken-backward": (0, 3),
+                    "self-loop": (3, 0)}
+        for stream, (closing, other) in expected.items():
+            batched = BranchPredictionStream(
+                [BimodalPredictor(), GSharePredictor()])
+            for batch in iter_batches(EDGE_STREAMS[stream], 2):
+                batched.feed_batch(batch)
+            for report in batched.reports(stream):
+                assert (report.closing_total, report.other_total) \
+                    == (closing, other), stream
 
 
 # ---------------------------------------------------------------------------

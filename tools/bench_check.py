@@ -78,7 +78,7 @@ def check(manifest, headline, tolerance, min_coverage):
     """Evaluate the thresholds; returns ``(failures, report_lines)``."""
     failures = []
     lines = []
-    backend = manifest["meta"].get("kernel_backend", "numpy")
+    backend = manifest["meta"].get("kernel_backend", "stdlib")
     wall = manifest["wall_seconds"]
     entry = headline.get(backend)
     if not isinstance(entry, dict) \
