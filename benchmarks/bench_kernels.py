@@ -17,7 +17,10 @@ repository root:
     LoopDetector` per workload consuming the batch stream;
   - ``predictor_batch``: the fused bimodal+gshare
     :class:`~repro.core.branchpred.BranchPredictionStream` consuming
-    every batch.
+    every batch;
+  - ``cf_trace``: the batches' producer, the tiered
+    :class:`~repro.cpu.tracer.ChunkedCFTracer`, in simulated Minstr/s
+    per workload.
 
 * **Warm/cold `runner all` headline** -- the full ten-experiment
   single-pass suite: cold (fresh trace cache: interpretation + derived
@@ -117,7 +120,37 @@ def bench_micro(workload_names, limit, rounds):
         "cls_batch": _timed(records, best(rounds, cls_batch)),
         "detector_batch": _timed(records, best(rounds, detector_batch)),
         "predictor_batch": _timed(records, best(rounds, predictor_batch)),
+        "cf_trace": bench_cf_trace(workload_names, limit, rounds),
     }
+
+
+def bench_cf_trace(workload_names, limit, rounds):
+    """Tracing speed of :class:`~repro.cpu.tracer.ChunkedCFTracer` per
+    workload, with both of its tiers as a cold trace runs them."""
+    from repro.cpu.tracer import ChunkedCFTracer
+    from repro.workloads import get
+
+    row = {}
+    for name in workload_names:
+        program = get(name).program(1)
+        done = []
+
+        def trace():
+            tracer = ChunkedCFTracer(program, limit)
+            start = time.perf_counter()
+            for _ in tracer.batches():
+                pass
+            elapsed = time.perf_counter() - start
+            done.append(tracer.total_instructions)
+            return elapsed
+
+        seconds = best(rounds, trace)
+        row[name] = {
+            "seconds": round(seconds, 4),
+            "instructions": done[0],
+            "minstr_per_second": round(done[0] / seconds / 1e6, 3),
+        }
+    return row
 
 
 # -- headline ----------------------------------------------------------------

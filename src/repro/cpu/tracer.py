@@ -8,7 +8,10 @@ Loops over the packed program form:
   control-flow interpretation loop: the trace cache writer streams it
   to disk, and :func:`trace_control_flow` collects it into an
   in-memory :class:`~repro.trace.stream.CFTrace` of
-  :class:`~repro.trace.record.CFRecord`.
+  :class:`~repro.trace.record.CFRecord`.  It runs one basic block at a
+  time in two tiers: cold blocks are interpreted instruction by
+  instruction, hot ones run as functions compiled by
+  :mod:`repro.cpu.blocks`.
 * :meth:`ChunkedFullTracer.batches` runs compiled basic blocks (see
   :mod:`repro.cpu.blocks`) and emits, per block, its closing transfer
   and live-in candidates -- the input to the data-speculation study.
@@ -83,12 +86,24 @@ class ChunkedCFTracer:
     never holds the whole trace.  :func:`trace_control_flow` collects
     the batches into an in-memory trace.
 
+    Blocks are tiered by hotness: a basic block is interpreted until
+    its entry pc has been entered :attr:`HOT_ENTRIES` times, then
+    compiled into one function (the control-flow tail of
+    :class:`~repro.cpu.blocks.BlockCompiler`).  Compiling costs about
+    as much as interpreting a block a few dozen times, so only blocks
+    that run often enough to repay it are compiled; the records, and
+    the batch boundaries, are the same in either tier.
+
     ``total_instructions`` and ``halted`` are only valid once the
     generator is exhausted; reading them earlier raises
     :class:`RuntimeError`.
     """
 
     DEFAULT_CHUNK = 65536
+
+    #: A block is compiled on this entry of its entry pc; earlier entries
+    #: are interpreted.  Chosen by a threshold sweep (docs/PERFORMANCE.md).
+    HOT_ENTRIES = 64
 
     def __init__(self, program, max_instructions=5_000_000,
                  allow_truncation=True, chunk_size=DEFAULT_CHUNK):
@@ -119,14 +134,26 @@ class ChunkedCFTracer:
         """Generate :class:`~repro.trace.batch.RecordBatch` columns of
         at most ``chunk_size`` records, in execution order.
 
-        The interpretation loop appends directly to the batch columns,
-        so no :class:`~repro.trace.record.CFRecord` is ever constructed
+        Runs one basic block at a time in one of two tiers.  A block
+        whose entry pc has been entered fewer than :attr:`HOT_ENTRIES`
+        times is interpreted instruction by instruction up to its
+        closing transfer; on its :attr:`HOT_ENTRIES`-th entry it is
+        compiled by a :class:`~repro.cpu.blocks.BlockCompiler` and from
+        then on runs as one function.  A compiled block that would
+        cross the instruction budget is interpreted instead, so the
+        budget cuts at the same instruction either way.  Compiled
+        blocks and entry counts live for this call only.
+
+        Both tiers append to the same five columns, so no
+        :class:`~repro.trace.record.CFRecord` is ever constructed
         between the machine and a batch consumer (the v3 cache writer,
-        the loop detector's ``feed_batch``).
+        the loop detector's ``feed_batch``); each yielded batch holds
+        copies of the columns.
         """
         program = self.program
         chunk = self.chunk_size
-        max_instructions = self.max_instructions
+        budget = self.max_instructions
+        hot = self.HOT_ENTRIES
         packed = pack_program(program)
         regs = [0] * NUM_REGISTERS
         regs[REG_SP] = STACK_TOP
@@ -142,142 +169,171 @@ class ChunkedCFTracer:
         kd_a = c_kind.append
         tk_a = c_taken.append
         tg_a = c_target.append
+        compile_block = BlockCompiler(
+            packed, regs, mem,
+            columns=(sq_a, pc_a, kd_a, tk_a, tg_a)).compile
+        compiled = {}                 # entry pc -> (block, length, kind)
+        lookup = compiled.get
+        entries = {}                  # entry pc -> entries while cold
+        entries_get = entries.get
         pc = program.entry
         seq = 0
         halted = False
         alu = _ALU
         branch = _BRANCH
 
-        while seq < max_instructions:
+        while seq < budget:
             if len(c_seq) >= chunk:
-                yield RecordBatch(c_seq, c_pc, c_kind, c_taken, c_target)
-                c_seq = array("q")
-                c_pc = array("q")
-                c_kind = array("b")
-                c_taken = array("b")
-                c_target = array("q")
-                sq_a = c_seq.append
-                pc_a = c_pc.append
-                kd_a = c_kind.append
-                tk_a = c_taken.append
-                tg_a = c_target.append
-            code, rd, rs1, rs2, imm, target = packed[pc]
-            if code == C_ADDI:
-                v = regs[rs1] + imm
-                if v > _I64_MAX or v < _I64_MIN:
-                    v = wrap64(v)
-                if rd:
-                    regs[rd] = v
-                pc += 1
-            elif code == C_LD:
-                if rd:
-                    regs[rd] = mem_get(regs[rs1] + imm, 0)
-                pc += 1
-            elif code == C_ST:
-                mem[regs[rs1] + imm] = regs[rs2]
-                pc += 1
-            elif code in BRANCH_CODES:
-                taken = branch[code](regs[rs1], regs[rs2])
-                sq_a(seq)
-                pc_a(pc)
-                kd_a(_K_BRANCH)
-                tk_a(1 if taken else 0)
-                tg_a(target)
-                pc = target if taken else pc + 1
-            elif code == C_ADD:
-                v = regs[rs1] + regs[rs2]
-                if v > _I64_MAX or v < _I64_MIN:
-                    v = wrap64(v)
-                if rd:
-                    regs[rd] = v
-                pc += 1
-            elif code == C_LI:
-                if rd:
-                    regs[rd] = imm
-                pc += 1
-            elif code == C_MV:
-                if rd:
-                    regs[rd] = regs[rs1]
-                pc += 1
-            elif code == C_SUB:
-                v = regs[rs1] - regs[rs2]
-                if v > _I64_MAX or v < _I64_MIN:
-                    v = wrap64(v)
-                if rd:
-                    regs[rd] = v
-                pc += 1
-            elif code == C_MUL:
-                v = regs[rs1] * regs[rs2]
-                if v > _I64_MAX or v < _I64_MIN:
-                    v = wrap64(v)
-                if rd:
-                    regs[rd] = v
-                pc += 1
-            elif code == C_MULI:
-                v = regs[rs1] * imm
-                if v > _I64_MAX or v < _I64_MIN:
-                    v = wrap64(v)
-                if rd:
-                    regs[rd] = v
-                pc += 1
-            elif code == C_JMP:
-                sq_a(seq)
-                pc_a(pc)
-                kd_a(_K_JUMP)
-                tk_a(1)
-                tg_a(target)
-                pc = target
-            elif code == C_CALL:
-                regs[1] = pc + 1
-                sq_a(seq)
-                pc_a(pc)
-                kd_a(_K_CALL)
-                tk_a(1)
-                tg_a(target)
-                pc = target
-            elif code == C_RET:
-                nxt = regs[1]
-                sq_a(seq)
-                pc_a(pc)
-                kd_a(_K_RET)
-                tk_a(1)
-                tg_a(nxt)
-                pc = nxt
-            elif code == C_JR:
-                nxt = regs[rs1]
-                sq_a(seq)
-                pc_a(pc)
-                kd_a(_K_IJUMP)
-                tk_a(1)
-                tg_a(nxt)
-                pc = nxt
-            elif code == C_HALT:
-                sq_a(seq)
-                pc_a(pc)
-                kd_a(_K_HALT)
-                tk_a(0)
-                tg_a(NO_TARGET)
-                seq += 1
-                halted = True
-                break
-            elif code == C_NOP:
-                pc += 1
-            else:
-                # Remaining ALU forms (immediate and register) via the
-                # tables.
-                if code in _IMM_TO_REG:
-                    v = alu[_IMM_TO_REG[code]](regs[rs1], imm)
+                yield RecordBatch(c_seq[:], c_pc[:], c_kind[:],
+                                  c_taken[:], c_target[:])
+                del c_seq[:], c_pc[:], c_kind[:], c_taken[:], c_target[:]
+            entry = lookup(pc)
+            if entry is None:
+                count = entries_get(pc, 0) + 1
+                if count < hot:
+                    entries[pc] = count
                 else:
-                    v = alu[code](regs[rs1], regs[rs2])
-                if rd:
-                    regs[rd] = v
-                pc += 1
-            seq += 1
+                    entry = compiled[pc] = compile_block(pc)
+            if entry is not None:
+                block, length, kind = entry
+                if seq + length <= budget:
+                    pc = block(seq)
+                    seq += length
+                    if kind == _K_HALT:
+                        halted = True
+                        break
+                    continue
+            # Interpret the block up to its closing transfer.
+            while seq < budget:
+                code, rd, rs1, rs2, imm, target = packed[pc]
+                if code == C_ADDI:
+                    v = regs[rs1] + imm
+                    if v > _I64_MAX or v < _I64_MIN:
+                        v = wrap64(v)
+                    if rd:
+                        regs[rd] = v
+                    pc += 1
+                elif code == C_LD:
+                    if rd:
+                        regs[rd] = mem_get(regs[rs1] + imm, 0)
+                    pc += 1
+                elif code == C_ST:
+                    mem[regs[rs1] + imm] = regs[rs2]
+                    pc += 1
+                elif code in BRANCH_CODES:
+                    taken = branch[code](regs[rs1], regs[rs2])
+                    sq_a(seq)
+                    pc_a(pc)
+                    kd_a(_K_BRANCH)
+                    tk_a(1 if taken else 0)
+                    tg_a(target)
+                    pc = target if taken else pc + 1
+                    seq += 1
+                    break
+                elif code == C_ADD:
+                    v = regs[rs1] + regs[rs2]
+                    if v > _I64_MAX or v < _I64_MIN:
+                        v = wrap64(v)
+                    if rd:
+                        regs[rd] = v
+                    pc += 1
+                elif code == C_LI:
+                    if rd:
+                        regs[rd] = imm
+                    pc += 1
+                elif code == C_MV:
+                    if rd:
+                        regs[rd] = regs[rs1]
+                    pc += 1
+                elif code == C_SUB:
+                    v = regs[rs1] - regs[rs2]
+                    if v > _I64_MAX or v < _I64_MIN:
+                        v = wrap64(v)
+                    if rd:
+                        regs[rd] = v
+                    pc += 1
+                elif code == C_MUL:
+                    v = regs[rs1] * regs[rs2]
+                    if v > _I64_MAX or v < _I64_MIN:
+                        v = wrap64(v)
+                    if rd:
+                        regs[rd] = v
+                    pc += 1
+                elif code == C_MULI:
+                    v = regs[rs1] * imm
+                    if v > _I64_MAX or v < _I64_MIN:
+                        v = wrap64(v)
+                    if rd:
+                        regs[rd] = v
+                    pc += 1
+                elif code == C_JMP:
+                    sq_a(seq)
+                    pc_a(pc)
+                    kd_a(_K_JUMP)
+                    tk_a(1)
+                    tg_a(target)
+                    pc = target
+                    seq += 1
+                    break
+                elif code == C_CALL:
+                    regs[1] = pc + 1
+                    sq_a(seq)
+                    pc_a(pc)
+                    kd_a(_K_CALL)
+                    tk_a(1)
+                    tg_a(target)
+                    pc = target
+                    seq += 1
+                    break
+                elif code == C_RET:
+                    nxt = regs[1]
+                    sq_a(seq)
+                    pc_a(pc)
+                    kd_a(_K_RET)
+                    tk_a(1)
+                    tg_a(nxt)
+                    pc = nxt
+                    seq += 1
+                    break
+                elif code == C_JR:
+                    nxt = regs[rs1]
+                    sq_a(seq)
+                    pc_a(pc)
+                    kd_a(_K_IJUMP)
+                    tk_a(1)
+                    tg_a(nxt)
+                    pc = nxt
+                    seq += 1
+                    break
+                elif code == C_HALT:
+                    sq_a(seq)
+                    pc_a(pc)
+                    kd_a(_K_HALT)
+                    tk_a(0)
+                    tg_a(NO_TARGET)
+                    seq += 1
+                    halted = True
+                    break
+                elif code == C_NOP:
+                    pc += 1
+                else:
+                    # Remaining ALU forms (immediate and register) via
+                    # the tables.
+                    if code in _IMM_TO_REG:
+                        v = alu[_IMM_TO_REG[code]](regs[rs1], imm)
+                    else:
+                        v = alu[code](regs[rs1], regs[rs2])
+                    if rd:
+                        regs[rd] = v
+                    pc += 1
+                seq += 1
+            if halted:
+                break
 
         if not halted and not self.allow_truncation:
             raise TraceBudgetExceeded(
                 "program %r did not halt within %d instructions"
-                % (program.name, max_instructions))
+                % (program.name, budget))
         if len(c_seq):
             yield RecordBatch(c_seq, c_pc, c_kind, c_taken, c_target)
         self._total = seq
@@ -405,7 +461,8 @@ class ChunkedFullTracer:
 
     The input to the data-speculation study.  :meth:`batches` runs the
     program one basic block at a time, each compiled on first entry by
-    a :class:`~repro.cpu.blocks.BlockCompiler`, and emits per block
+    a :class:`~repro.cpu.blocks.BlockCompiler` with its
+    data-speculation tail, and emits per block
     only what the live-in study can use: the closing transfer plus the
     block's register and load live-in candidates (see
     :mod:`repro.cpu.blocks`).  :func:`trace_full` is the reference:

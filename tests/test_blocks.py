@@ -1,7 +1,10 @@
-"""Differential tests for the basic-block compiler behind the
-full-effects tracer: after every compiled block the register file and
-memory must equal the reference :class:`~repro.cpu.machine.Machine`
-stepping the same instructions."""
+"""Differential tests for the basic-block compiler behind both
+tracers: after every compiled block -- with the data-speculation tail
+or the control-flow tail -- the register file and memory must equal
+the reference :class:`~repro.cpu.machine.Machine` stepping the same
+instructions."""
+
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from repro.isa import InstrKind, Instruction, Opcode, Program, assemble
 from repro.isa.registers import NUM_REGISTERS, REG_SP
 
 HALT = int(InstrKind.HALT)
+BRANCH = int(InstrKind.BRANCH)
 
 
 def run_blocks_against_machine(program, budget=20_000):
@@ -47,6 +51,55 @@ def run_blocks_against_machine(program, budget=20_000):
         assert emitted[-1][:3] == (seq - 1, last_pc, kind)
         if kind == HALT:
             assert machine.halted
+            break
+        assert pc == machine.pc
+
+
+def run_flow_blocks_against_machine(program, budget=20_000):
+    """Run *program* block by block through the control-flow tail
+    (cutting the last block at *budget*), checking state, the next pc
+    and the appended record after each."""
+    packed = pack_program(program)
+    regs = [0] * NUM_REGISTERS
+    regs[REG_SP] = STACK_TOP
+    mem = dict(program.data.initial)
+    columns = tuple(array(code) for code in "qqbbq")
+    compiler = BlockCompiler(packed, regs, mem,
+                             columns=[col.append for col in columns])
+    machine = Machine(program)
+    pc = program.entry
+    seq = 0
+    while seq < budget:
+        block, length, kind = compiler.compile(pc)
+        if seq + length > budget:
+            block, length, kind = compiler.compile(pc, budget - seq)
+            assert kind == 0
+        before = len(columns[0])
+        pc = block(seq)
+        for _ in range(length):
+            last_pc = machine.pc
+            instr = machine.step()
+        seq += length
+        assert regs == machine.regs
+        assert mem == machine.memory.cells
+        if kind == 0:
+            assert all(len(col) == before for col in columns)
+            assert pc == machine.pc
+            continue
+        assert all(len(col) == before + 1 for col in columns)
+        assert kind == int(instr.kind)
+        if kind == HALT:
+            expected = (HALT, 0, -1)
+        elif kind == BRANCH:
+            expected = (BRANCH, int(machine.pc != last_pc + 1),
+                        instr.target)
+        else:
+            expected = (kind, 1, machine.pc)
+        assert tuple(col[-1] for col in columns) \
+            == (seq - 1, last_pc) + expected
+        if kind == HALT:
+            assert machine.halted
+            assert pc == -1
             break
         assert pc == machine.pc
 
@@ -94,6 +147,10 @@ CORNER_CASES = {
         remi s1, t9, -1
         div s2, t1, t0
         rem s3, t1, t0
+        li s4, -3
+        div s5, t0, s4
+        rem s6, t0, s4
+        div s7, t9, t3
         halt
     """,
     "shifts-64-and-up": """
@@ -159,6 +216,17 @@ CORNER_CASES = {
         bgt t1, zero, loop
         halt
     """,
+    "loads-never-stored": """
+        li t0, 70000
+        ld t1, 0(t0)
+        ld t2, -5(t0)
+        ld zero, 3(t0)
+        add t3, t1, t2
+        st t3, 1(t0)
+        ld t4, 1(t0)
+        ld t5, 2(t0)
+        halt
+    """,
 }
 
 
@@ -176,6 +244,32 @@ def test_corner_case_cut_at_every_budget(name):
         run_blocks_against_machine(program, budget)
 
 
+@pytest.mark.parametrize("name", sorted(CORNER_CASES))
+def test_flow_corner_case_matches_machine(name):
+    program = assemble(CORNER_CASES[name], name)
+    run_flow_blocks_against_machine(program)
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_CASES))
+def test_flow_corner_case_cut_at_every_budget(name):
+    program = assemble(CORNER_CASES[name], name)
+    total = trace_full(program).total_instructions
+    for budget in range(1, total + 1):
+        run_flow_blocks_against_machine(program, budget)
+
+
+def test_flow_halt_block_returns_minus_one():
+    program = assemble("main:\n  li t0, 4\n  halt\n")
+    columns = tuple(array(code) for code in "qqbbq")
+    compiler = BlockCompiler(pack_program(program), [0] * NUM_REGISTERS,
+                             {}, columns=[col.append for col in columns])
+    block, length, kind = compiler.compile(0)
+    assert (length, kind) == (2, HALT)
+    assert block(10) == -1
+    assert [col.tolist() for col in columns] \
+        == [[11], [1], [HALT], [0], [-1]]
+
+
 def test_load_candidates_skip_addresses_stored_in_the_block():
     program = assemble(CORNER_CASES["store-then-load"])
     emitted = [block for chunk in ChunkedFullTracer(program).batches()
@@ -190,11 +284,13 @@ def test_load_candidates_skip_addresses_stored_in_the_block():
     assert [load[0] for load in loop[6]] == [7]
 
 
-def test_non_integer_operands_are_never_interpolated():
+@pytest.mark.parametrize("tail", ["emit", "columns"])
+def test_non_integer_operands_are_never_interpolated(tail):
+    sinks = {"emit": [].append, "columns": [[].append] * 5}
     for bad in ("1\nimport os", 1.5, True, None):
         packed = [(C_LI, 10, 0, 0, bad, None)]
         compiler = BlockCompiler(packed, [0] * NUM_REGISTERS, {},
-                                 [].append)
+                                 **{tail: sinks[tail]})
         with pytest.raises(TypeError):
             compiler.compile(0, 1)
 
@@ -283,6 +379,12 @@ def memory_programs(draw):
 @given(memory_programs(), st.integers(min_value=1, max_value=300))
 def test_random_blocks_match_machine(program, budget):
     run_blocks_against_machine(program, budget)
+
+
+@settings(max_examples=80, deadline=None)
+@given(memory_programs(), st.integers(min_value=1, max_value=300))
+def test_random_flow_blocks_match_machine(program, budget):
+    run_flow_blocks_against_machine(program, budget)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,11 @@
 """Tests for the fast tracing interpreters, including differential tests
 against the readable reference machine."""
 
+import hashlib
+import io
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cpu import ChunkedCFTracer, Machine, trace_control_flow, \
     trace_full
@@ -10,7 +13,10 @@ from repro.cpu.tracer import TraceBudgetExceeded
 from repro.isa import InstrKind, Instruction, Opcode, Program, assemble
 from repro.search.corpus import frontier_names
 from repro.trace import CFRecord
+from repro.trace.io import write_cf_batches
+from repro.util.rng import Xorshift64
 from repro.workloads import SUITE_ORDER, get as get_workload
+from repro.workloads.synthetic import make_workload, random_profile
 
 LOOP_SRC = """
 .data table 8 = 3 1 4 1 5 9 2 6
@@ -195,11 +201,53 @@ def _pin_batches_to_machine(program, budget, chunk_size):
     assert tracer.program_name == program.name
 
 
+@pytest.fixture(params=[1, None, 10**9],
+                ids=["compile-at-first-entry", "default", "interpret-only"])
+def hot_entries(request, monkeypatch):
+    """Runs a test under three tiering thresholds: every block compiled
+    at its first entry, the default, and no block ever compiled."""
+    if request.param is not None:
+        monkeypatch.setattr(ChunkedCFTracer, "HOT_ENTRIES", request.param,
+                            raising=False)
+    return request.param
+
+
+#: A 200-iteration loop: its block turns hot under every threshold
+#: but "interpret-only", so budgets cut it inside a compiled block.
+HOT_LOOP_SRC = """
+.data table 4 = 3 1 4 1
+main:
+    li t0, 0
+    li t1, 200
+    li t4, 65536
+loop:
+    andi t5, t0, 3
+    add t6, t4, t5
+    ld t2, 0(t6)
+    add t3, t3, t2
+    st t3, 0(t6)
+    addi t0, t0, 1
+    blt t0, t1, loop
+    halt
+"""
+
+
+def search_like_program(seed):
+    """A generated program of the kind the adversarial search traces:
+    a random profile and generator seed drawn from *seed*."""
+    rng = Xorshift64(seed)
+    workload = make_workload(random_profile(rng), rng.randint(1, 1 << 30))
+    return workload.program(), workload.default_max_instructions
+
+
+@pytest.mark.usefixtures("hot_entries")
 class TestBatchesAgainstMachine:
     """Pins the chunked tracer's batch emission directly against the
-    reference machine, not through any collector built on it."""
+    reference machine, not through any collector built on it, with
+    blocks interpreted, compiled, and tiered by hotness."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(looped_programs(), st.integers(min_value=1, max_value=16))
     def test_random_programs(self, program, chunk_size):
         _pin_batches_to_machine(program, 100000, chunk_size)
@@ -207,6 +255,26 @@ class TestBatchesAgainstMachine:
     def test_truncated_program(self):
         program = assemble("main:\n  jmp main\n  halt\n")
         _pin_batches_to_machine(program, 50, 8)
+
+    def test_budget_ends_inside_hot_block(self):
+        program = assemble(HOT_LOOP_SRC)
+        _, total, _ = machine_cf_records(program)
+        # Budgets from the 100th iteration on end inside (and at the
+        # edges of) the loop block once it is compiled.
+        for budget in range(total - 7 * 100, total + 2, 3):
+            _pin_batches_to_machine(program, budget, 64)
+
+    @pytest.mark.parametrize("chunk_size", [1, 7])
+    def test_chunk_sizes(self, chunk_size):
+        _pin_batches_to_machine(assemble(HOT_LOOP_SRC), 100000,
+                                chunk_size)
+        _pin_batches_to_machine(get_workload("go").program(), 20000,
+                                chunk_size)
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_search_like_program(self, seed):
+        program, budget = search_like_program(seed)
+        _pin_batches_to_machine(program, budget, 512)
 
     @pytest.mark.parametrize("name", SUITE_ORDER)
     def test_suite_analog(self, name):
@@ -219,6 +287,48 @@ class TestBatchesAgainstMachine:
         workload = get_workload(name)
         _pin_batches_to_machine(workload.program(),
                                 workload.default_max_instructions, 512)
+
+
+#: sha256 of the v3 bytes ``write_cf_batches`` writes at the default
+#: budget, as written by the one-tier interpreter before tiering.
+CFT_DIGESTS = {
+    "swim": "48bdbc29e7726fffe6cab4a349e9b833"
+            "1b26adcd88927408d6d68394cc6b8c81",
+    "go": "4b57ff1ee924d3435e46aa6c38983757"
+          "e770ad9c9648a9e956d443d4c55e2a63",
+    "frontier-policy-divergence-1": "3acc73ca1a6012f54ffecab1e506e9a1"
+                                    "dfe412abc40219046c1da69b857dc9de",
+}
+
+
+@pytest.mark.usefixtures("hot_entries")
+class TestTieredOutputIdentity:
+    """Tiering changes neither the trace bytes nor a yielded batch."""
+
+    @pytest.mark.parametrize("name", sorted(CFT_DIGESTS))
+    def test_cft_bytes_unchanged(self, name):
+        workload = get_workload(name)
+        fh = io.BytesIO()
+        write_cf_batches(ChunkedCFTracer(
+            workload.program(), workload.default_max_instructions), fh)
+        assert hashlib.sha256(fh.getvalue()).hexdigest() \
+            == CFT_DIGESTS[name]
+
+    def test_yielded_batches_stay_unchanged(self):
+        tracer = ChunkedCFTracer(get_workload("go").program(), 200000,
+                                 chunk_size=100)
+        kept = []
+        snapshots = []
+        for batch in tracer.batches():
+            kept.append(batch)
+            snapshots.append(list(batch.iter_records()))
+        assert len(kept) > 2
+        assert [list(batch.iter_records()) for batch in kept] == snapshots
+        # Every batch owns its columns.
+        columns = [id(col) for batch in kept
+                   for col in (batch.seqs, batch.pcs, batch.kinds,
+                               batch.takens, batch.targets)]
+        assert len(set(columns)) == len(columns)
 
 
 def _chunk_fixture():
