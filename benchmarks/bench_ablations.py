@@ -1,4 +1,9 @@
-"""Ablation benchmarks for the paper's secondary design discussions."""
+"""Regenerates the ablation tables for the paper's secondary design
+discussions.
+
+Their paper-shape bands are checked in tier-1, by the ablation tests of
+``tests/test_paper_bands.py``.
+"""
 
 from conftest import run_once
 
@@ -10,10 +15,6 @@ def test_replacement_policy(runner, benchmark):
                       runner)
     print()
     print(result.render())
-    # Paper section 2.3.2: nesting-aware replacement is "negligible".
-    for _size, let_lru, let_aware, lit_lru, lit_aware in result.rows:
-        assert abs(let_lru - let_aware) < 10
-        assert abs(lit_lru - lit_aware) < 10
 
 
 def test_waiting_accounting(runner, benchmark):
@@ -21,18 +22,9 @@ def test_waiting_accounting(runner, benchmark):
                       runner)
     print()
     print(result.render())
-    avg = result.row_for("AVG")
-    # Counting waiting threads changes the suite average by only a few
-    # percent -- the waiting-cycles choice (docs/ARCHITECTURE.md)
-    # is not load-bearing.
-    assert avg[2] <= avg[1]
-    assert (avg[1] - avg[2]) / avg[1] < 0.10
 
 
 def test_cls_capacity(runner, benchmark):
     result = run_once(benchmark, ablations.cls_capacity_ablation, runner)
     print()
     print(result.render())
-    by_capacity = {row[0]: row[1] for row in result.rows}
-    assert by_capacity[16] == 0          # paper: 16 entries suffice
-    assert by_capacity[2] > by_capacity[4] >= by_capacity[8]

@@ -47,11 +47,14 @@ def analyze_trace(analyses, trace, name="program", workload=None,
     feed_batch = suite.feed_batch
     detect_batch = detector.feed_batch
     for batch in iter_batches(trace.records):
+        # The detector sees each batch first: the CLS-capacity sweep
+        # reads its fork points.
+        events = detect_batch(batch)
         if wants_records:
             feed_batch(batch)
         if timing_feed is not None:
             timing_feed(batch)
-        for event in detect_batch(batch):
+        for event in events:
             feed(event)
     for event in detector.finish(trace.total_instructions):
         feed(event)

@@ -17,6 +17,15 @@ on branches, jumps and returns exactly as the paper specifies:
 * on overflow the deepest (outermost) entry is dropped, penalizing the
   least common loops.
 
+The stack also remembers its state the first time each depth is
+reached (:attr:`CurrentLoopStack.first_reach`; at most ``capacity``
+snapshots per trace, one int compare per push).  A smaller stack
+behaves exactly like this one until this one first pushes past the
+smaller capacity -- before that push neither could overflow -- so
+:meth:`CurrentLoopStack.fork` can build that smaller stack's exact
+state at that push, and a capacity sweep only walks what follows it
+(Mattson et al.'s stack-inclusion idea, IBM Systems Journal 1970).
+
 The CLS emits :mod:`repro.core.events` objects; callers (detector,
 speculation engine, statistics collectors) consume those rather than
 re-deriving loop structure.
@@ -61,6 +70,17 @@ class CLSEntry:
     def contains(self, pc):
         return self.t <= pc <= self.b
 
+    def clone(self):
+        entry = CLSEntry.__new__(CLSEntry)
+        entry.t = self.t
+        entry.b = self.b
+        entry.exec_id = self.exec_id
+        entry.iteration = self.iteration
+        entry.iter_start_seq = self.iter_start_seq
+        entry.exec_start_seq = self.exec_start_seq
+        entry.depth = self.depth
+        return entry
+
     def __repr__(self):
         return "CLSEntry(T=%d, B=%d, exec=%d, iter=%d)" % (
             self.t, self.b, self.exec_id, self.iteration)
@@ -81,6 +101,11 @@ class CurrentLoopStack:
         self.entries = []           # index 0 = outermost, -1 = innermost
         self.next_exec_id = 0
         self.overflow_count = 0
+        #: ``first_reach[d - 1]`` is ``(seq, next_exec_id, entries)``
+        #: right after the first push to depth ``d``; ``entries`` are
+        #: copies, never mutated.
+        self.first_reach = []
+        self.max_depth = 0          # == len(first_reach)
 
     # -- introspection ---------------------------------------------------
 
@@ -100,6 +125,32 @@ class CurrentLoopStack:
 
     def current_loops(self):
         return [entry.t for entry in self.entries]
+
+    def fork(self, capacity):
+        """The stack a capacity-*capacity* CLS fed the same records
+        holds right after this one first pushed to depth
+        ``capacity + 1``, as ``(seq, stack)`` with *seq* that push's
+        record; None if this stack never got that deep.
+
+        Until that push both stacks held the same entries and neither
+        overflowed; the push makes the smaller one drop its outermost
+        entry and stack the new loop one level shallower.  Only exact
+        for ``capacity < self.capacity``.
+        """
+        if not 1 <= capacity < self.capacity:
+            raise ValueError("can only fork a capacity in [1, %d)"
+                             % self.capacity)
+        if capacity >= self.max_depth:
+            return None
+        seq, next_exec_id, entries = self.first_reach[capacity]
+        stack = CurrentLoopStack(capacity)
+        stack.entries = [entry.clone() for entry in entries[1:]]
+        stack.entries[-1].depth = capacity
+        stack.next_exec_id = next_exec_id
+        stack.overflow_count = 1
+        stack.first_reach = self.first_reach[:capacity]
+        stack.max_depth = capacity
+        return seq, stack
 
     # -- main update rules -------------------------------------------------
 
@@ -283,6 +334,11 @@ class CurrentLoopStack:
         depth = len(self.entries) + 1
         entry = CLSEntry(target, pc, exec_id, seq, depth)
         self.entries.append(entry)
+        if depth > self.max_depth:
+            self.max_depth = depth
+            self.first_reach.append(
+                (seq, self.next_exec_id,
+                 tuple(e.clone() for e in self.entries)))
         events.append(ExecutionStart(seq, target, exec_id, depth))
         events.append(IterationStart(seq, target, exec_id, 2))
         return events

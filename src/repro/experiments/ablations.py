@@ -10,17 +10,30 @@
 
 All three ride the shared replay: the replacement sweep replays one
 table-simulator pair per (size, policy) over the finished loop index
-(a columnar walk, shared with figure4), and the CLS sweep feeds one
-detector per capacity with each record batch -- no per-ablation trace
-re-replays.
+(a columnar walk, shared with figure4), and the CLS sweep reads the
+canonical detector -- no per-ablation trace re-replays.
+
+A capacity ``k`` below the canonical one behaves exactly like the
+canonical stack until that stack first pushes to depth ``k + 1``; the
+sweep then forks ``k``'s exact state off the canonical stack
+(:meth:`~repro.core.cls.CurrentLoopStack.fork`) and walks only the
+records after that push.  A capacity the canonical stack never
+outgrows is the canonical stack's own count.  Capacities above the
+canonical one walk the whole trace on stacks of their own.  The fork
+points are read after each batch, so the canonical detector must see
+a batch before the sweep does (the session and ``analyze_trace``
+feed it first).
 """
+
+from bisect import bisect_right
 
 from repro.analysis import Analysis, register_analysis, \
     shared_simulate, shared_table_sim
 from repro.core.cls import CurrentLoopStack
-from repro.core.events import ExecutionStart, SingleIteration
 from repro.core.tables import POLICY_LRU, POLICY_NESTING_AWARE
 from repro.experiments.report import ExperimentResult, TimingMeta
+from repro.obs import collector as obs
+from repro.trace.batch import RecordBatch
 
 REPLACEMENT_SIZES = (2, 4)
 REPLACEMENT_POLICIES = (POLICY_LRU, POLICY_NESTING_AWARE)
@@ -55,9 +68,15 @@ class AblationsAnalysis(Analysis):
         # CLS sweep: capacity -> [overflow drops, executions]
         self._cls = {capacity: [0, 0] for capacity in capacities}
         self._sims = None
-        self._stacks = None
-        self._stack_list = ()
+        self._reset_sweep()
+
+    def _reset_sweep(self):
+        self._canonical = None
         self._cls_cached = {}
+        self._walking = {}          # capacity -> its own stack
+        self._following = []        # capacities still equal to canonical
+        self._walked = 0            # records walked by sweep stacks
+        self._forks = 0
 
     def begin(self, ctx):
         if "replacement" in self.parts:
@@ -70,65 +89,68 @@ class AblationsAnalysis(Analysis):
                 self._sims[(size, policy)] = sim
         if "cls" in self.parts:
             # The sweep only asks how often each CLS size drops a live
-            # loop, so it feeds bare CurrentLoopStacks (no event list,
-            # no execution records) and counts execution starts.  The
-            # entry matching the session's own capacity is exactly the
-            # canonical detector; it is read from the context at
-            # finish.  Counts already in the derived store skip their
-            # stack's record walk entirely.
-            self._canonical_capacity = ctx.cls_capacity
-            self._cls_cached = {}
+            # loop and how many executions it starts, so it runs bare
+            # CurrentLoopStacks (no event consumers).  Counts already
+            # in the derived store skip their stack entirely.
+            self._reset_sweep()
+            canonical = self._canonical = ctx.detector.cls
             if ctx.derived is not None:
                 for capacity in self.capacities:
-                    if capacity == self._canonical_capacity:
+                    if capacity == canonical.capacity:
                         continue
                     counts = ctx.derived.get(self._cls_key(capacity))
                     if (isinstance(counts, list) and len(counts) == 2
                             and all(isinstance(c, int)
                                     for c in counts)):
                         self._cls_cached[capacity] = counts
-            self._stacks = {
-                capacity: [CurrentLoopStack(capacity=capacity), 0]
-                for capacity in self.capacities
-                if capacity != self._canonical_capacity
-                and capacity not in self._cls_cached}
-            self._stack_list = tuple(self._stacks.values())
+            for capacity in sorted(set(self.capacities)):
+                if capacity in self._cls_cached:
+                    continue
+                if capacity > canonical.capacity:
+                    self._walking[capacity] = CurrentLoopStack(capacity)
+                elif capacity < canonical.capacity:
+                    if capacity < 1:
+                        raise ValueError("CLS capacity must be >= 1")
+                    self._following.append(capacity)
 
     @staticmethod
     def _cls_key(capacity):
         return "cls-sweep/cap%d" % capacity
 
     def feed_record(self, record):
-        seq = record.seq
-        pc = record.pc
-        kind = record.kind
-        taken = record.taken
-        target = record.target
-        for entry in self._stack_list:
-            events = entry[0].process(seq, pc, kind, taken, target)
-            if events:
-                entry[1] += sum(
-                    1 for event in events
-                    if type(event) is ExecutionStart
-                    or type(event) is SingleIteration)
+        self.feed_batch(RecordBatch.from_records((record,)))
 
     def feed_batch(self, batch):
-        # Columnar path: one process_batch call per sweep stack; only
-        # execution starts are counted, so event order within the
-        # batch is irrelevant.
-        for entry in self._stack_list:
-            events = entry[0].process_batch(batch)
-            if events:
-                entry[1] += sum(
-                    1 for event in events
-                    if type(event) is ExecutionStart
-                    or type(event) is SingleIteration)
+        for stack in self._walking.values():
+            stack.process_batch(batch)
+        self._walked += len(batch) * len(self._walking)
+        following = self._following
+        if following and self._canonical.max_depth > following[0]:
+            self._fork(batch)
+
+    def _fork(self, batch):
+        """Fork every capacity the canonical stack outgrew in *batch*
+        and walk each fork over the rest of the batch."""
+        canonical = self._canonical
+        following = self._following
+        seqs = batch.seqs
+        while following and canonical.max_depth > following[0]:
+            capacity = following.pop(0)
+            seq, stack = canonical.fork(capacity)
+            start = bisect_right(seqs, seq)
+            if start == 0 or seqs[start - 1] != seq:
+                raise RuntimeError(
+                    "CLS sweep: the canonical detector must be fed each "
+                    "record batch before the sweep")
+            rest = batch.slice(start, len(batch))
+            stack.process_batch(rest)
+            self._walked += len(rest)
+            self._walking[capacity] = stack
+            self._forks += 1
 
     def abort(self, ctx):
         self._sims = None
-        self._stacks = None
-        self._stack_list = ()
-        self._cls_cached = {}
+        self._reset_sweep()
 
     def finish(self, ctx):
         if "replacement" in self.parts:
@@ -147,29 +169,34 @@ class AblationsAnalysis(Analysis):
             self._waiting_rows.append((ctx.name, round(incl.tpc, 2),
                                        round(incl.tpc_executing, 2)))
         if "cls" in self.parts:
+            canonical = self._canonical
+            if self._following \
+                    and canonical.max_depth > self._following[0]:
+                raise RuntimeError(
+                    "CLS sweep: the canonical detector outgrew a "
+                    "capacity after the sweep's last batch")
             for capacity in self.capacities:
-                entry = self._stacks.get(capacity)
-                cached = self._cls_cached.get(capacity)
-                if entry is not None:
-                    # flush() emits only ExecutionEnds: neither count
-                    # moves.
-                    overflowed = entry[0].overflow_count
-                    executions = entry[1]
-                    if ctx.derived is not None:
+                counts = self._cls_cached.get(capacity)
+                if counts is None:
+                    # An unforked capacity never diverged from the
+                    # canonical stack.  Execution ids count every
+                    # ExecutionStart and SingleIteration.
+                    stack = self._walking.get(capacity, canonical)
+                    counts = (stack.overflow_count, stack.next_exec_id)
+                    if ctx.derived is not None \
+                            and capacity != canonical.capacity:
                         ctx.derived.put(self._cls_key(capacity),
-                                        [overflowed, executions])
-                elif cached is not None:
-                    overflowed, executions = cached
-                else:
-                    overflowed = ctx.detector.cls.overflow_count
-                    executions = len(ctx.index.executions)
+                                        list(counts))
                 totals = self._cls[capacity]
-                totals[0] += overflowed
-                totals[1] += executions
+                totals[0] += counts[0]
+                totals[1] += counts[1]
+            collector = obs.active()
+            if collector is not None:
+                collector.add("analysis.cls_sweep.walked_records",
+                              self._walked)
+                collector.add("analysis.cls_sweep.forks", self._forks)
         self._sims = None
-        self._stacks = None
-        self._stack_list = ()
-        self._cls_cached = {}
+        self._reset_sweep()
 
     # -- the three tables ---------------------------------------------------
 

@@ -244,10 +244,12 @@ class SimulationSession:
 
         *batches* is an iterable of :class:`~repro.trace.batch.
         RecordBatch` (a cached v3 stream, or an in-memory trace through
-        :func:`~repro.trace.batch.iter_batches`).  Per batch, records
-        fan out to the suite's record consumers and the timing model,
-        then the detector's columnar fast path turns them into loop
-        events -- event order is identical to the per-record replay.
+        :func:`~repro.trace.batch.iter_batches`).  Per batch, the
+        detector's columnar fast path turns the records into loop
+        events first (the CLS-capacity sweep reads the canonical
+        stack's fork points), then the records fan out to the suite's
+        record consumers and the timing model, then the events fan out
+        -- event order is identical to the per-record replay.
         """
         detector = LoopDetector(cls_capacity=self.config.cls_capacity)
         ctx = self._context(workload, total, detector)
@@ -279,11 +281,11 @@ class SimulationSession:
                 if collector is not None:
                     n_batches += 1
                     n_records += len(batch)
+                events = detect_batch(batch)
                 if wants_records:
                     feed_batch(batch)
                 if timing_feed is not None:
                     timing_feed(batch)
-                events = detect_batch(batch)
                 if events and feed_events is not None:
                     feed_events(events)
             events = detector.finish(total)

@@ -23,6 +23,8 @@ from repro.core.events import ExecutionStart, SingleIteration
 from repro.cpu import trace_control_flow
 from repro.experiments.ablations import AblationsAnalysis
 from repro.isa import assemble
+from repro.obs import collector as obs
+from repro.obs.collector import Collector
 from repro.search.corpus import frontier_names
 from repro.trace.batch import iter_batches
 from repro.workloads import SUITE_ORDER, get
@@ -194,3 +196,125 @@ def test_derived_store_partly_cached(tmp_path, cls_capacity):
     for name in STORE_WORKLOADS:
         assert first[name] == {c: _reference(name, c) for c in (2, 8)}
         assert second[name] == {c: _reference(name, c) for c in SWEEP}
+
+
+# ---------------------------------------------------------------------------
+# CurrentLoopStack.fork: the forked stack is the independent one.
+# ---------------------------------------------------------------------------
+
+ENTRY_FIELDS = ("t", "b", "exec_id", "iteration", "iter_start_seq",
+                "exec_start_seq", "depth")
+
+
+def stack_state(stack):
+    return ([tuple(getattr(entry, field) for field in ENTRY_FIELDS)
+             for entry in stack.entries],
+            stack.next_exec_id, stack.overflow_count, stack.max_depth,
+            [(seq, next_id, [tuple(getattr(entry, field)
+                                   for field in ENTRY_FIELDS)
+                             for entry in entries])
+             for seq, next_id, entries in stack.first_reach])
+
+
+def walk(stack, records):
+    """Feed *records* one at a time; the reprs of every event, in
+    order (events carry no ``__eq__``)."""
+    return [repr(event) for rec in records
+            for event in stack.process(rec.seq, rec.pc, rec.kind,
+                                       rec.taken, rec.target)]
+
+
+#: The analogs whose nests outgrow capacity 4 (so some capacity forks
+#: mid-trace), plus the synthetic nest that outgrows every capacity.
+FORKING_PROGRAMS = ("applu", "fpppp", "go", "ijpeg", "li", "turb3d",
+                    "deep-nest")
+
+
+@pytest.mark.parametrize("name", FORKING_PROGRAMS)
+def test_fork_state_is_exact(name):
+    records = _trace(name).records
+    canonical = CurrentLoopStack(capacity=16)
+    walk(canonical, records)
+    seqs = [rec.seq for rec in records]
+    forked = 0
+    for capacity in range(1, 16):
+        # Capacities that never fork are the canonical counts, pinned
+        # by the sweep tests above.
+        reached = canonical.fork(capacity)
+        if reached is None:
+            continue
+        forked += 1
+        seq, fork = reached
+        independent = CurrentLoopStack(capacity=capacity)
+        position = seqs.index(seq)
+        walk(independent, records[:position + 1])
+        assert stack_state(fork) == stack_state(independent), capacity
+        assert fork.overflow_count == 1
+        rest = records[position + 1:]
+        assert walk(fork, rest) == walk(independent, rest), capacity
+        total = seqs[-1] + 1
+        assert [repr(e) for e in fork.flush(total)] \
+            == [repr(e) for e in independent.flush(total)]
+        assert stack_state(fork) == stack_state(independent)
+    assert forked >= 2
+    if name == "deep-nest":
+        assert forked == 15
+
+
+def test_fork_bounds():
+    stack = CurrentLoopStack(capacity=4)
+    for bad in (0, 4, 5):
+        with pytest.raises(ValueError):
+            stack.fork(bad)
+    assert stack.fork(1) is None          # never got two deep
+    stack.process(0, 100, 1, True, 90)    # push loop 90 at depth 1
+    assert stack.fork(1) is None
+    stack.process(1, 80, 1, True, 70)     # depth 2: capacity 1 forks
+    seq, fork = stack.fork(1)
+    assert seq == 1
+    assert [(e.t, e.depth) for e in fork.entries] == [(70, 1)]
+    assert (fork.next_exec_id, fork.overflow_count) == (2, 1)
+    # The snapshot is a copy: later pushes leave the fork point alone.
+    stack.process(2, 60, 1, True, 50)
+    assert stack.fork(1)[1].entries[0].b == 80
+
+
+@pytest.mark.parametrize("cls_capacity", (4, 16))
+def test_obs_counts_forks_and_walked_records(cls_capacity, monkeypatch):
+    """Forked capacities walk only the records after their fork point;
+    capacities above the canonical one walk every record."""
+    records = _trace("deep-nest").records
+    collector = obs.activate(Collector())
+    try:
+        sweep_counts(_trace("deep-nest"), cls_capacity, SWEEP, 65_536,
+                     monkeypatch)
+    finally:
+        obs.deactivate()
+    canonical = CurrentLoopStack(capacity=cls_capacity)
+    walk(canonical, records)
+    seqs = [rec.seq for rec in records]
+    forked = [c for c in SWEEP if c < cls_capacity]
+    walked = sum(len(seqs) - 1 - seqs.index(canonical.fork(c)[0])
+                 for c in forked)
+    walked += len(records) * sum(1 for c in SWEEP if c > cls_capacity)
+    counters = collector.counters
+    assert counters["analysis.cls_sweep.forks"] == len(forked)
+    assert counters["analysis.cls_sweep.walked_records"] == walked
+
+
+def test_sweep_refuses_a_lagging_detector():
+    """The fork points are read after each batch, so a detector fed
+    after the sweep would go unnoticed; the sweep says so instead of
+    miscounting."""
+    from repro.analysis.base import WorkloadContext
+    from repro.core.detector import LoopDetector
+
+    trace = _trace("deep-nest")
+    detector = LoopDetector(cls_capacity=16)
+    analysis = AblationsAnalysis(parts=("cls",))
+    analysis.begin(WorkloadContext("deep-nest", trace.total_instructions,
+                                   detector=detector))
+    with pytest.raises(RuntimeError, match="canonical detector"):
+        for batch in iter_batches(trace.records, 7):
+            analysis.feed_batch(batch)
+            detector.feed_batch(batch)

@@ -146,3 +146,45 @@ def test_figure8_regular_codes_have_single_path_loops(figure8):
     assert per_bench["swim"].same_path > 0.9
     assert per_bench["tomcatv"].same_path > 0.9
     assert per_bench["go"].same_path < per_bench["swim"].same_path
+
+
+# ---------------------------------------------------------------------------
+# Ablations: replacement policy, waiting accounting, CLS capacity.
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ablations():
+    """One full-suite ablations pass: its replacement, waiting and CLS
+    tables, by part name."""
+    from repro.analysis import AnalysisSuite
+    from repro.experiments.ablations import ALL_PARTS, AblationsAnalysis
+    from repro.pipeline import SimulationSession
+
+    session = SimulationSession(scale=1, cache_dir=None)
+    return dict(zip(ALL_PARTS, session.analyze(
+        AnalysisSuite([AblationsAnalysis()]))[0]))
+
+
+def test_ablation_replacement_policy_negligible(ablations):
+    """Paper section 2.3.2: nesting-aware replacement is "negligible"."""
+    for _size, let_lru, let_aware, lit_lru, lit_aware \
+            in ablations["replacement"].rows:
+        assert abs(let_lru - let_aware) < 10
+        assert abs(lit_lru - lit_aware) < 10
+
+
+def test_ablation_waiting_accounting_not_load_bearing(ablations):
+    """Counting waiting threads changes the suite average by only a
+    few percent -- the waiting-cycles choice (docs/ARCHITECTURE.md) is
+    not load-bearing."""
+    avg = ablations["waiting"].row_for("AVG")
+    assert avg[2] <= avg[1]
+    assert (avg[1] - avg[2]) / avg[1] < 0.10
+
+
+def test_ablation_cls_capacity(ablations):
+    """Paper section 2.2: 16 entries never overflow; smaller stacks
+    drop more live loops."""
+    drops = {row[0]: row[1] for row in ablations["cls"].rows}
+    assert drops[16] == 0
+    assert drops[2] > drops[4] >= drops[8]
