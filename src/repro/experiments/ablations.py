@@ -94,23 +94,19 @@ class AblationsAnalysis(Analysis):
             # in the derived store skip their stack entirely.
             self._reset_sweep()
             canonical = self._canonical = ctx.detector.cls
-            if ctx.derived is not None:
-                for capacity in self.capacities:
-                    if capacity == canonical.capacity:
-                        continue
-                    counts = ctx.derived.get(self._cls_key(capacity))
-                    if (isinstance(counts, list) and len(counts) == 2
-                            and all(isinstance(c, int)
-                                    for c in counts)):
-                        self._cls_cached[capacity] = counts
             for capacity in sorted(set(self.capacities)):
-                if capacity in self._cls_cached:
+                if capacity == canonical.capacity:
                     continue
-                if capacity > canonical.capacity:
+                counts = (ctx.derived.get(self._cls_key(capacity))
+                          if ctx.derived is not None else None)
+                if (isinstance(counts, list) and len(counts) == 2
+                        and all(isinstance(c, int) for c in counts)):
+                    self._cls_cached[capacity] = counts
+                elif capacity > canonical.capacity:
                     self._walking[capacity] = CurrentLoopStack(capacity)
-                elif capacity < canonical.capacity:
-                    if capacity < 1:
-                        raise ValueError("CLS capacity must be >= 1")
+                elif capacity < 1:
+                    raise ValueError("CLS capacity must be >= 1")
+                else:
                     self._following.append(capacity)
 
     @staticmethod
